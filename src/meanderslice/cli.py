@@ -27,7 +27,7 @@ from .meander import (
     turning_data,
 )
 from .slicebuild import ConstructionFailed, construct, triangularity_order
-from .verify import eta_and_h, full_report
+from .verify import adapted_pair, full_report
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ["p", "q", "n", "signature", "used_fix", "mode", "m"]
@@ -104,7 +104,7 @@ def _meander_payload(pair):
 
 def _construct_payload(pair):
     sc = construct(pair)
-    ap = eta_and_h(pair)
+    ap = adapted_pair(pair)
     ledger = sc.ledger
     return {
         "schema_version": SCHEMA_VERSION,
@@ -305,7 +305,7 @@ def cmd_sigmap(args):
     rows = []
     for pair, sig in atlas["rows"]:
         sc = construct(pair)
-        ap = eta_and_h(pair)
+        ap = adapted_pair(pair)
         rows.append(
             {
                 "p": pair.p,
@@ -400,6 +400,9 @@ def main(argv=None):
         except ValueError:
             print("slice: invalid SLICE_JOBS=%r" % env_jobs, file=sys.stderr)
             return 2
+    if args.jobs < 1:
+        print("slice: jobs must be at least 1, got %d" % args.jobs, file=sys.stderr)
+        return 2
     try:
         if args.command == "meander":
             _require_pq(parser, args)
@@ -410,6 +413,9 @@ def main(argv=None):
         elif args.command == "verify":
             if args.max_n is None:
                 _require_pq(parser, args)
+            elif args.p is not None or args.max_n < 3:
+                print("slice: verify needs p q, or --max-n N with N >= 3", file=sys.stderr)
+                return 2
             text, code = cmd_verify(args)
         elif args.command == "sigmap":
             if args.max_n is None or args.max_n < 3:

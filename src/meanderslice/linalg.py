@@ -1,5 +1,6 @@
 """Small exact linear algebra toolkit: integer matrices, fraction-free
-rank, and rational linear solves.  No floating point anywhere."""
+rank, and rational linear solves.  No floating point anywhere.  The
+certifier uses only `zeros` and the ranks; the rest are test oracles."""
 
 from __future__ import annotations
 
@@ -8,13 +9,6 @@ from fractions import Fraction
 
 def zeros(r, c):
     return [[0] * c for _ in range(r)]
-
-
-def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
 
 
 def mat_mul(a, b):
@@ -138,10 +132,3 @@ def solve_unique(a, b):
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return [m[i][n] for i in range(n)]
-
-
-def kernel_dim(rows):
-    """Dimension of the rational null space of an integer matrix."""
-    if not rows:
-        return 0
-    return len(rows[0]) - rank_int(rows)

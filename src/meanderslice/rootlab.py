@@ -167,13 +167,16 @@ def positive_wrt(r, order):
 
 
 def expand_in_path_system(r, order):
-    """Coefficients of r over the path-system roots e_{c_i} - e_{c_{i+1}}."""
-    assert sum(r) == 0
+    """Coefficients of r over the path-system roots e_{c_i} - e_{c_{i+1}};
+    RootError when r is not a lattice root or `order` misses a coordinate."""
+    if sum(r) != 0:
+        raise RootError("not in the root lattice: %r" % (r,))
     # partial sums along the path invert the edge basis
     coeffs = []
     run = 0
     for v in order[:-1]:
         run += r[v - 1]
         coeffs.append(run)
-    assert run + r[order[-1] - 1] == 0
+    if run + r[order[-1] - 1] != 0:
+        raise RootError("the order %r does not cover the support of %r" % (order, r))
     return tuple(coeffs)

@@ -502,7 +502,10 @@ def construct(pair):
         ledger = found[0]
         used_fix = bool(ledger.fix_entries)
         checks = check_conditions(td, ledger.final())
-        assert checks["ok"]
+        if not checks["ok"]:
+            raise ConstructionFailed(
+                "the search result for (%d,%d) fails its own check" % (pair.p, pair.q)
+            )
     n = pair.n
     pi_star = tuple(
         rootlab.scale(td.eps[i], ledger.beta_prime[i]) for i in range(n - 1)
@@ -531,38 +534,24 @@ def triangularity_order(sc):
     Unchanged values come first, then simple-interval changes, then
     compound changes, ties broken by index.  Verified on the pre-repair
     values: each signed changed value must expand over the original signed
-    chain with unit diagonal and support only on earlier values.  Raises
-    ConstructionRuleError when the expansion breaks the pattern.
+    chain (a prefix sum along the path phi, times eps) with unit diagonal
+    and support only on earlier values.  Raises ConstructionRuleError when
+    the expansion breaks the pattern.
     """
     import heapq
 
-    from . import linalg
-
     td = sc.turning
     n = td.pair.n
-    betas = beta_sequence(td.traversal)
     levels = {i: 0 for i in range(1, n)}
     for idx, entry in sc.ledger.entries.items():
         s, t = entry.span
         gap = td.label_at(t) - td.label_at(s)
         compound = entry.case in ("compound", "compound-short") or gap > 1
         levels[idx] = 3 if compound else 2
-    old_star = [rootlab.scale(td.eps[i - 1], betas[i - 1]) for i in range(1, n)]
-    basis = [rootlab.to_simple_coords(v) for v in old_star]
-    cols = list(zip(*basis))  # column j is old_star[j] in simple coords
     expansion = {}
     for i in range(1, n):
-        target = rootlab.to_simple_coords(sc.pi_star[i - 1])
-        sol = linalg.solve_unique([list(row) for row in cols], list(target))
-        if sol is None:
-            raise ConstructionRuleError("original chain is not a basis")
-        row = {}
-        for j in range(1, n):
-            cj = sol[j - 1]
-            if cj.denominator != 1:
-                raise ConstructionRuleError("non-integral expansion at beta_%d" % i)
-            if int(cj):
-                row[j] = int(cj)
+        coeffs = rootlab.expand_in_path_system(sc.pi_star[i - 1], td.traversal.phi)
+        row = {j: c * td.eps[j - 1] for j, c in enumerate(coeffs, 1) if c}
         if row.get(i) != 1:
             raise ConstructionRuleError("diagonal is not 1 at beta_%d" % i)
         expansion[i] = row

@@ -20,18 +20,6 @@ from .slicebuild import construct
 _PRIMES = (32749, 32719, 32717)
 
 
-def matrix_unit(a, b, n):
-    m = linalg.zeros(n, n)
-    m[a - 1][b - 1] = 1
-    return m
-
-
-def root_matrix(r):
-    """The matrix unit x_r = E_{a,b} for the elementary root r = e_a - e_b."""
-    a, b = rootlab.elementary_support(r)
-    return matrix_unit(a, b, len(r))
-
-
 @dataclass(frozen=True)
 class AdaptedPair:
     pair: object
@@ -148,15 +136,6 @@ def adapted_pair(pair):
     return AdaptedPair(pair=pair, eta_support=tuple(support), alpha=alpha, h=h, m=m)
 
 
-def eta_matrix(ap):
-    n = ap.pair.n
-    m = linalg.zeros(n, n)
-    for r in ap.eta_support:
-        a, b = rootlab.elementary_support(r)
-        m[a - 1][b - 1] = 1
-    return m
-
-
 def parabolic_basis(pair):
     """Basis of the truncated two-block parabolic: both traceless diagonal
     blocks plus the lower-left corner block.  Each element is a sparse
@@ -174,7 +153,9 @@ def parabolic_basis(pair):
         for j in range(1, p + 1):
             basis.append({(i, j): 1})
     q = pair.q
-    assert len(basis) == p * p + q * q + p * q - 2
+    d = p * p + q * q + p * q - 2
+    if len(basis) != d:
+        raise ValueError("the parabolic basis has %d elements, expected %d" % (len(basis), d))
     return basis
 
 
@@ -234,16 +215,17 @@ def certified_rank(m, upper_bound):
     return linalg.rank_int(m)
 
 
-def eta_regularity(pair, ap=None):
+def eta_regularity(pair, ap=None, form=None):
     """Dimension of the centraliser of eta inside the truncated parabolic.
 
     The kernel of the skew form S is that centraliser.  dim is always odd
-    here and S alternating, so rank <= dim - 1 a priori.
+    here and S alternating, so rank <= dim - 1 a priori.  `form` is the
+    (S, basis) of `skew_form_matrix`, built when not given.
     """
-    ap = ap or adapted_pair(pair)
-    s, basis = skew_form_matrix(pair, ap)
+    s, basis = form or skew_form_matrix(pair, ap)
     d = len(basis)
-    assert d % 2 == 1, "the truncated parabolic has odd dimension"
+    if d % 2 != 1:
+        raise ValueError("the truncated parabolic has even dimension %d" % d)
     rank = certified_rank(s, d - 1)
     return {
         "dim_p": d,
@@ -253,11 +235,12 @@ def eta_regularity(pair, ap=None):
     }
 
 
-def complement_check(pair, ap=None, top_root=None):
+def complement_check(pair, ap=None, top_root=None, form=None):
     """Check that the coadjoint orbit directions of eta together with the
-    functional of x_alpha span the dual of the truncated parabolic."""
+    functional of x_alpha span the dual of the truncated parabolic.
+    `form` is as for `eta_regularity`."""
     ap = ap or adapted_pair(pair)
-    s, basis = skew_form_matrix(pair, ap)
+    s, basis = form or skew_form_matrix(pair, ap)
     top = _sparse_from_roots([top_root if top_root is not None else ap.alpha])
     extra = [_sparse_trace_product(top, b) for b in basis]
     rows = [row[:] for row in s] + [extra]
@@ -283,7 +266,8 @@ def completed_element(sc):
         if pos[b] - pos[a] < 2:
             raise ValueError("added root at beta_%d is simple for the path" % i)
         support.append(r)
-    assert len(set(support)) == len(support)
+    if len(set(support)) != len(support):
+        raise ValueError("the support of y'' repeats a root")
     m = linalg.zeros(n, n)
     for r in support:
         a, b = rootlab.elementary_support(r)
@@ -291,8 +275,24 @@ def completed_element(sc):
     return tuple(sorted(support)), m
 
 
+def path_order_regular(support, order):
+    """True when every support root e_a - e_b has a before b in `order`
+    and every path edge e_{c_i} - e_{c_{i+1}} is in the support.  The
+    matrix is then strictly upper triangular in c with a non-zero
+    superdiagonal, so its (n-1)-th power is non-zero: it is regular."""
+    pos = {v: i for i, v in enumerate(order)}
+    edges = set()
+    for r in support:
+        a, b = rootlab.elementary_support(r)
+        if pos[a] >= pos[b]:
+            return False
+        edges.add((pos[a], pos[b]))
+    return all((i, i + 1) in edges for i in range(len(order) - 1))
+
+
 def check_regular_nilpotent(mat):
-    """A nilpotent n x n matrix is regular iff rank(M^k) = n - k."""
+    """A nilpotent n x n matrix is regular iff rank(M^k) = n - k (test
+    oracle for `path_order_regular`)."""
     n = len(mat)
     power = [row[:] for row in mat]
     for k in range(1, n + 1):
@@ -323,7 +323,8 @@ def check_restriction(sc, ap):
 
 def weyl_permutation(sc):
     """The path order c as a permutation: conjugating the principal
-    nilpotent chain E_{c_i, c_{i+1}} back to the standard Jordan chain."""
+    nilpotent chain E_{c_i, c_{i+1}} back to the standard Jordan chain
+    (test oracle for `rootlab.validate_path_system`)."""
     n = sc.pair.n
     c = sc.order
     perm = linalg.zeros(n, n)
@@ -337,17 +338,19 @@ def weyl_permutation(sc):
     for r in sc.pi_final:
         a, b = rootlab.elementary_support(r)
         yprime[a - 1][b - 1] = 1
-    assert lhs == yprime, "path order does not conjugate the Jordan chain to y'"
+    if lhs != yprime:
+        raise ValueError("path order does not conjugate the Jordan chain to y'")
     return tuple(c)
 
 
 def full_report(pair, with_stabiliser=True):
     """One pair end to end: construction, adapted pair, regularity of eta
-    and of the completed element, restriction and complement checks."""
+    and of the completed element, restriction and complement checks.  The
+    path order, certified during construction, is the Weyl permutation."""
     sc = construct(pair)
     ap = adapted_pair(pair)
-    support, y2 = completed_element(sc)
-    regular = check_regular_nilpotent(y2)
+    support, _ = completed_element(sc)
+    regular = path_order_regular(support, sc.order)
     restrict = check_restriction(sc, ap)
     eigen_ok = all(
         h_eigenvalue(ap.h, r) == Fraction(-1) for r in ap.eta_support
@@ -359,7 +362,7 @@ def full_report(pair, with_stabiliser=True):
         "construction_mode": sc.construction_mode,
         "used_exceptional_fix": sc.used_exceptional_fix,
         "order": sc.order,
-        "weyl_perm": weyl_permutation(sc),
+        "weyl_perm": sc.order,
         "pi_star": sc.pi_star,
         "pi_final": sc.pi_final,
         "support_y2": support,
@@ -372,10 +375,11 @@ def full_report(pair, with_stabiliser=True):
         "conditions": {k: sc.checks[k] for k in ("a", "b", "c", "d", "ok")},
     }
     if with_stabiliser:
-        reg = eta_regularity(pair, ap)
+        form = skew_form_matrix(pair, ap)
+        reg = eta_regularity(pair, ap, form=form)
         report["eta_regular"] = reg["regular"]
         report["stabiliser_dim"] = reg["stabiliser_dim"]
-        report["complement_ok"] = complement_check(pair, ap)
+        report["complement_ok"] = complement_check(pair, ap, form=form)
     ok = (
         report["conditions"]["ok"]
         and regular
@@ -387,7 +391,3 @@ def full_report(pair, with_stabiliser=True):
     )
     report["all_ok"] = ok
     return report
-
-
-# name used in the interface contract for the adapted-pair solver
-eta_and_h = adapted_pair

@@ -30,6 +30,7 @@ from meanderslice.verify import (
     completed_element,
     eta_regularity,
     h_eigenvalue,
+    path_order_regular,
 )
 
 PAIRS_30 = coprime_pairs(30)
@@ -103,7 +104,10 @@ def test_acceptance_completed_element(constructions):
     for pair in PAIRS_30:
         sc = constructions[(pair.p, pair.q)]
         support, y2 = completed_element(sc)
-        assert check_regular_nilpotent(y2)
+        regular = check_regular_nilpotent(y2)
+        assert regular
+        # the O(n) path-order certificate agrees with the dense power ranks
+        assert path_order_regular(support, sc.order) == regular
         res = check_restriction(sc, adapted_pair(pair))
         assert res["matches_eta"] and res["rest_in_nilradical"]
     done()

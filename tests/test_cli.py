@@ -38,6 +38,19 @@ def test_exit_code_input_errors():
     assert run_cli("nonsense", "1", "2").returncode == 2
 
 
+def test_exit_code_bad_ranges_and_jobs():
+    import os
+
+    assert run_cli("verify", "--max-n", "2").returncode == 2  # no pair at all
+    assert run_cli("verify", "--max-n", "-4").returncode == 2
+    assert run_cli("verify", "2", "3", "--max-n", "5").returncode == 2
+    assert run_cli("verify", "2", "3", "--jobs", "0").returncode == 2
+    assert run_cli("verify", "--max-n", "5", "--jobs", "-1").returncode == 2
+    for value in ("0", "-3"):
+        env = dict(os.environ, SLICE_JOBS=value)
+        assert run_cli("verify", "2", "3", env=env).returncode == 2
+
+
 def test_exit_code_success():
     assert run_cli("meander", "2", "3").returncode == 0
     assert run_cli("verify", "2", "3").returncode == 0
@@ -183,6 +196,17 @@ def test_jobs_do_not_change_output():
     a = run_cli("verify", "--max-n", "9", "--format", "json")
     b = run_cli("verify", "--max-n", "9", "--format", "json", env=env)
     assert a.stdout == b.stdout
+
+
+def test_optimised_mode_keeps_the_sweep():
+    # python -O strips assert statements; no certificate may depend on them
+    args = ("verify", "--max-n", "12", "--format", "json")
+    plain = run_cli(*args)
+    optimised = subprocess.run(
+        [sys.executable, "-O", "-m", "meanderslice.cli", *args], capture_output=True
+    )
+    assert plain.returncode == optimised.returncode == 0
+    assert optimised.stdout == plain.stdout
 
 
 def test_invalid_jobs_env():

@@ -239,6 +239,14 @@ def test_positive_wrt_matches_expansion_exhaustively():
                     assert positive_wrt(r, order) == all(c >= 0 for c in coeffs)
 
 
+def test_expand_in_path_system_errors():
+    with pytest.raises(RootError, match="root lattice"):
+        rootlab.expand_in_path_system((1, 0, 0), (1, 2, 3))
+    # an order that repeats 1 and misses 3 cannot expand e_1 - e_3
+    with pytest.raises(RootError, match="does not cover"):
+        rootlab.expand_in_path_system(eps_diff(1, 3, 3), (1, 1, 2))
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_positive_wrt_matches_expansion_random(data):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
-from meanderslice import rootlab
+from meanderslice import rootlab, slicebuild
 from meanderslice.meander import CoprimePair, beta_sequence, coprime_pairs, traversal, turning_data
 from meanderslice.slicebuild import (
+    ConstructionFailed,
+    ConstructionRuleError,
     check_conditions,
     construct,
     exhaustive_solutions,
@@ -230,6 +234,27 @@ def test_triangularity_everywhere():
             assert m[i][i] == 1
             for j in range(sc.pair.n - 1):
                 assert not (m[i][j] and pos[j + 1] > pos[i + 1])
+
+
+def test_triangularity_rejects_non_unit_diagonal():
+    sc = sc_for(2, 3)
+    pi_star = (rootlab.neg(sc.pi_star[0]),) + sc.pi_star[1:]
+    with pytest.raises(ConstructionRuleError, match="diagonal is not 1 at beta_1"):
+        triangularity_order(replace(sc, pi_star=pi_star))
+
+
+def test_construct_rejects_search_result_failing_its_check(monkeypatch):
+    td = sc_for(2, 3).turning
+    ledger = exhaustive_solutions(td, first_only=True)[0]
+
+    def rule_error(td, sig):
+        raise ConstructionRuleError("forced")
+
+    monkeypatch.setattr(slicebuild, "build_pi_star", rule_error)
+    monkeypatch.setattr(slicebuild, "exhaustive_solutions", lambda td, first_only: [ledger])
+    monkeypatch.setattr(slicebuild, "check_conditions", lambda td, values: {"ok": False})
+    with pytest.raises(ConstructionFailed, match="fails its own check"):
+        construct(CoprimePair(2, 3))
 
 
 def test_identity_for_unchanged_ledger():

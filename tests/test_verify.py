@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,11 +15,11 @@ from meanderslice.verify import (
     check_restriction,
     complement_check,
     completed_element,
-    eta_and_h,
     eta_regularity,
     full_report,
     h_eigenvalue,
     parabolic_basis,
+    path_order_regular,
     skew_form_matrix,
     weyl_permutation,
 )
@@ -98,7 +100,6 @@ def test_adapted_pair_1_2():
     assert ap.alpha == rootlab.eps_diff(3, 2, 3)  # minus the second simple root
     assert ap.h == (Fraction(0), Fraction(-1), Fraction(1))
     assert ap.m == 2
-    assert eta_and_h is adapted_pair
 
 
 def test_adapted_pair_2_3():
@@ -184,6 +185,27 @@ def test_parabolic_basis_dimension():
         assert d % 2 == 1
 
 
+def test_parabolic_basis_rejects_inconsistent_pair():
+    # n is not p + q, so the blocks do not fit the dimension formula
+    with pytest.raises(ValueError, match="expected 5"):
+        parabolic_basis(SimpleNamespace(p=1, q=2, n=4))
+
+
+def test_eta_regularity_rejects_even_dimension():
+    pair = SimpleNamespace(p=2, q=2, n=4)  # not coprime: dim p = 10
+    form = skew_form_matrix(pair, eta={})
+    with pytest.raises(ValueError, match="even dimension 10"):
+        eta_regularity(pair, form=form)
+
+
+def test_stabiliser_checks_accept_a_shared_form():
+    pair = CoprimePair(2, 3)
+    ap = adapted_pair(pair)
+    form = skew_form_matrix(pair, ap)
+    assert eta_regularity(pair, ap, form=form) == eta_regularity(pair, ap)
+    assert complement_check(pair, ap, form=form) == complement_check(pair, ap)
+
+
 def test_complement_check():
     for pq in [(1, 2), (2, 3)]:
         pair = CoprimePair(*pq)
@@ -214,6 +236,25 @@ def test_completed_element_witnesses():
     sc = construct(CoprimePair(1, 2))
     support, y2 = completed_element(sc)
     assert y2 == addm(unit(2, 1, 3), unit(1, 3, 3))
+
+
+def test_completed_element_rejects_repeated_root():
+    sc = construct(CoprimePair(2, 3))
+    with pytest.raises(ValueError, match="repeats a root"):
+        completed_element(replace(sc, pi_final=sc.pi_final + sc.pi_final[:1]))
+
+
+def test_path_order_regular_rejects_broken_supports():
+    sc = construct(CoprimePair(3, 4))  # the smallest pair with an added root
+    support, _ = completed_element(sc)
+    assert path_order_regular(support, sc.order)
+    (added,) = [r for r in support if r not in sc.pi_final]
+    # every path edge is still there, but one root points backwards
+    reversed_one = [rootlab.neg(r) if r == added else r for r in support]
+    assert not path_order_regular(reversed_one, sc.order)
+    for edge in sc.pi_final:
+        missing_edge = [r for r in support if r != edge]
+        assert not path_order_regular(missing_edge, sc.order)
 
 
 def test_check_regular_nilpotent_basics():
@@ -252,7 +293,10 @@ def test_restriction_witnesses():
 
 def test_weyl_permutation():
     assert weyl_permutation(construct(CoprimePair(2, 3))) == (2, 4, 1, 5, 3)
-    assert weyl_permutation(construct(CoprimePair(1, 2))) == (2, 1, 3)
+    sc = construct(CoprimePair(1, 2))
+    assert weyl_permutation(sc) == (2, 1, 3)
+    with pytest.raises(ValueError, match="does not conjugate"):
+        weyl_permutation(replace(sc, order=(1, 2, 3)))
 
 
 def test_h_integrality_on_support():
