@@ -253,7 +253,7 @@ def cmd_construct(args):
 def cmd_verify(args):
     if args.max_n is not None:
         pairs = [(pp.p, pp.q) for pp in coprime_pairs(args.max_n)]
-        jobs = args.jobs
+        jobs = min(args.jobs, os.cpu_count() or 1, len(pairs))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_verify_row_worker, pairs))
@@ -367,7 +367,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, pq=True, max_n=False, formats=("json", "csv", "text"), default="text"):
+    def common(sp, pq=True, max_n=False, jobs=False, formats=("json", "csv", "text"), default="text"):
         if pq:
             sp.add_argument("p", type=int, nargs="?")
             sp.add_argument("q", type=int, nargs="?")
@@ -376,11 +376,16 @@ def build_parser():
         sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--diagram", choices=("ascii", "svg"))
         sp.add_argument("--out")
-        sp.add_argument("--jobs", type=int, default=1)
+        if jobs:
+            sp.add_argument("--jobs", type=int, default=1)
 
     common(sub.add_parser("meander", help="orbit, turning points, signature"))
     common(sub.add_parser("construct", help="modified simple root systems with ledger"))
-    common(sub.add_parser("verify", help="full certification, single pair or sweep"), max_n=True)
+    common(
+        sub.add_parser("verify", help="full certification, single pair or sweep"),
+        max_n=True,
+        jobs=True,
+    )
     common(sub.add_parser("sigmap", help="signature atlas over all coprime pairs"), pq=False, max_n=True)
     common(
         sub.add_parser("diagram", help="ascii/svg rendering of the meander"),
@@ -393,16 +398,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_jobs = os.environ.get("SLICE_JOBS")
-    if env_jobs:
-        try:
-            args.jobs = int(env_jobs)
-        except ValueError:
-            print("slice: invalid SLICE_JOBS=%r" % env_jobs, file=sys.stderr)
+    if args.command == "verify":
+        env_jobs = os.environ.get("SLICE_JOBS")
+        if env_jobs:
+            try:
+                args.jobs = int(env_jobs)
+            except ValueError:
+                print("slice: invalid SLICE_JOBS=%r" % env_jobs, file=sys.stderr)
+                return 2
+        if args.jobs < 1:
+            print("slice: jobs must be at least 1, got %d" % args.jobs, file=sys.stderr)
             return 2
-    if args.jobs < 1:
-        print("slice: jobs must be at least 1, got %d" % args.jobs, file=sys.stderr)
-        return 2
     try:
         if args.command == "meander":
             _require_pq(parser, args)

@@ -1,6 +1,7 @@
 """Small exact linear algebra toolkit: integer matrices, fraction-free
 rank, and rational linear solves.  No floating point anywhere.  The
-certifier uses only `zeros` and the ranks; the rest are test oracles."""
+certifier uses only `zeros` and the Bareiss rank `rank_int`; the modular
+rank, the products and the solves are test oracles."""
 
 from __future__ import annotations
 
@@ -61,36 +62,12 @@ def rank_int(rows):
 
 
 def rank_mod_prime(rows, prime):
-    """Rank of an integer matrix over GF(prime).
+    """Rank of an integer matrix over GF(prime) (test oracle).
 
     Always a lower bound for the rational rank (a non-vanishing minor mod
-    prime cannot vanish over the rationals).  Uses numpy when available,
-    else a pure-python elimination.
+    prime cannot vanish over the rationals).  Only rows with a non-zero
+    entry in the pivot column are touched, so sparse inputs stay cheap.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover
-        np = None
-    if np is not None:
-        m = np.array(rows, dtype=np.int64) % prime
-        nr, nc = m.shape
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            col = m[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                m[[r, piv]] = m[[piv, r]]
-            inv = pow(int(m[r, c]), prime - 2, prime)
-            m[r] = (m[r] * inv) % prime
-            below = m[r + 1:, c]
-            m[r + 1:] = (m[r + 1:] - np.outer(below, m[r])) % prime
-            r += 1
-        return r
     m = [[x % prime for x in row] for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0

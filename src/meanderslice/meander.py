@@ -38,7 +38,8 @@ class CoprimePair:
                 "gcd(%d,%d)=%d: the orbit splits" % (self.p, self.q, math.gcd(self.p, self.q))
             )
         # coprimality forces exactly one of p, q, n to be even
-        assert (self.p % 2 == 0) + (self.q % 2 == 0) + ((self.p + self.q) % 2 == 0) == 1
+        if (self.p % 2 == 0) + (self.q % 2 == 0) + ((self.p + self.q) % 2 == 0) != 1:
+            raise MeanderError("exactly one of p, q, p + q must be even")
 
     @property
     def n(self):
@@ -79,19 +80,23 @@ def traversal(pair):
     else:
         b = (n + 1) // 2
         a = p + (q + 1) // 2
-    assert tau(a, p, n) == a
+    if tau(a, p, n) != a:
+        raise MeanderError("the starting point %d is not fixed by tau" % a)
     phi = [a]
     for i in range(1, n):
         prev = phi[-1]
         nxt = sigma(prev, n) if i % 2 == 1 else tau(prev, p, n)
-        assert nxt != prev, "walk stalled before covering the orbit"
+        if nxt == prev:
+            raise MeanderError("walk stalled before covering the orbit")
         phi.append(nxt)
     if len(set(phi)) != n:
         raise NotCoprimeError("orbit is not a single cycle")
-    assert phi[-1] == b
+    if phi[-1] != b:
+        raise MeanderError("the walk ends at %d, not at %d" % (phi[-1], b))
     # the walk must terminate at b: the pending involution fixes it
     pending = sigma(b, n) if n % 2 == 1 else tau(b, p, n)
-    assert pending == b
+    if pending != b:
+        raise MeanderError("the pending involution moves the end point %d" % b)
     return Traversal(pair=pair, phi=tuple(phi), a=a, b=b)
 
 
@@ -164,15 +169,19 @@ def turning_data(tr, pair=None):
         )
     positions = tuple(t for t in range(1, n + 1) if tr.phi[t - 1] in flips)
     tags = tuple("A" if tr.phi[t - 1] in A else "B" for t in positions)
-    assert len(positions) == p + 1
-    assert positions[0] == 1 and positions[-1] == n
+    if len(positions) != p + 1:
+        raise MeanderError("%d turning points, expected %d" % (len(positions), p + 1))
+    if positions[0] != 1 or positions[-1] != n:
+        raise MeanderError("the walk must start and end at turning points")
     for x, y in zip(tags, tags[1:]):
-        assert x != y, "turning tags must alternate along the orbit"
+        if x == y:
+            raise MeanderError("turning tags must alternate along the orbit")
     first_label = 1 if tags[0] == "A" else 0
     labels = tuple(range(first_label, first_label + p + 1))
     # odd labels sit on the A side under this numbering
     for lab, tag in zip(labels, tags):
-        assert (lab % 2 == 1) == (tag == "A")
+        if (lab % 2 == 1) != (tag == "A"):
+            raise MeanderError("label %d does not match its tag %s" % (lab, tag))
 
     betas = beta_sequence(tr)
     eps = [0] * (n - 1)
@@ -181,23 +190,27 @@ def turning_data(tr, pair=None):
         sign = 1 if tags[k] == "A" else -1
         for i in range(t0, t1):
             eps[i - 1] = sign
-    assert all(s != 0 for s in eps)
+    if not all(eps):
+        raise MeanderError("a chain value lies outside every turning interval")
 
     nil = tuple(rootlab.alpha_p_coefficient(b, p) != 0 for b in betas)
     turning = set(positions)
     boundary = tuple(i in turning or i + 1 in turning for i in range(1, n))
     isolated = tuple(i in turning and i + 1 in turning for i in range(1, n))
     for i in range(n - 1):
-        if isolated[i]:
-            assert nil[i], "an isolated value must be nil"
+        if isolated[i] and not nil[i]:
+            raise MeanderError("an isolated value must be nil")
 
     exc = [i for i in range(1, n) if abs(tr.phi[i - 1] - tr.phi[i]) == 1]
-    assert len(exc) == 1, "exactly one chain value is +- a simple root"
+    if len(exc) != 1:
+        raise MeanderError("exactly one chain value is +- a simple root, found %d" % len(exc))
     e = exc[0]
     m = next(x for x in (p, 2 * p + q, n) if x % 2 == 0)
     alpha_idx = min(tr.phi[e - 1], tr.phi[e])
-    assert alpha_idx == m // 2, "exceptional value must be +- a_{m/2}"
-    assert not nil[e - 1], "the exceptional value is never nil"
+    if alpha_idx != m // 2:
+        raise MeanderError("exceptional value must be +- a_{m/2}")
+    if nil[e - 1]:
+        raise MeanderError("the exceptional value is never nil")
 
     return TurningData(
         pair=pair,
@@ -236,11 +249,12 @@ def signature(td):
             continue
         above = td.nil[t - 2] if t >= 2 else False
         below = td.nil[t - 1] if t <= td.pair.n - 1 else False
-        assert above != below, "exactly one boundary value of an A point is nil"
+        if above == below:
+            raise MeanderError("exactly one boundary value of an A point is nil")
         full.append(1 if below else -1)
     full = tuple(full)
-    if p % 2 == 1:
-        assert full and full[0] == 1, "odd p forces a nil value below the first A point"
+    if p % 2 == 1 and (not full or full[0] != 1):
+        raise MeanderError("odd p forces a nil value below the first A point")
     changes = [1]
     for j in range(1, len(full)):
         if full[j] != full[j - 1]:
@@ -266,7 +280,8 @@ def coprime_pairs(max_n):
 
 def signature_atlas(max_n):
     """Deterministic table pair -> signature plus image/fiber reports."""
-    assert max_n >= 3
+    if max_n < 3:
+        raise MeanderError("the atlas needs max_n >= 3, got %d" % max_n)
     rows = []
     for pair in coprime_pairs(max_n):
         sig = signature(turning_data(traversal(pair)))

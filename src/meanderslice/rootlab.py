@@ -82,7 +82,8 @@ def dot(r, s):
 
 def to_simple_coords(r):
     """Coefficients over the simple roots a_1..a_{n-1} (prefix sums)."""
-    assert sum(r) == 0, "not in the root lattice"
+    if sum(r) != 0:
+        raise RootError("not in the root lattice: %r" % (r,))
     return tuple(accumulate(r[:-1]))
 
 
@@ -99,14 +100,16 @@ def from_simple_coords(k):
 
 def alpha_p_coefficient(r, p):
     """Coefficient of a_p when r is written over the simple roots."""
-    assert 1 <= p <= len(r) - 1
+    if not 1 <= p <= len(r) - 1:
+        raise RootError("no simple root a_%d in rank %d" % (p, len(r) - 1))
     return sum(r[:p])
 
 
 def kostant_cascade(n):
     """The nested hooks e_i - e_{n+1-i}, the maximal set of pairwise
     strongly orthogonal positive roots of sl(n)."""
-    assert n >= 2
+    if n < 2:
+        raise RootError("sl(%d) has no roots" % n)
     return frozenset(eps_diff(i, n + 1 - i, n) for i in range(1, n // 2 + 1))
 
 

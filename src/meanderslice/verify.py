@@ -16,7 +16,7 @@ from . import linalg, rootlab
 from .meander import beta_sequence
 from .slicebuild import construct
 
-# small primes for fast certified rank lower bounds
+# small primes for the modular ranks of the dense oracle `certified_rank`
 _PRIMES = (32749, 32719, 32717)
 
 
@@ -185,7 +185,8 @@ def _sparse_trace_product(x, y):
 
 def skew_form_matrix(pair, ap=None, eta=None):
     """S_{jk} = trace(eta [b_j, b_k]) over the fixed basis of the
-    truncated parabolic; alternating and integral."""
+    truncated parabolic, as a dense d x d matrix (test oracle for
+    `graded_skew_form`); alternating and integral."""
     if eta is None:
         ap = ap or adapted_pair(pair)
         eta = _sparse_from_roots(ap.eta_support)
@@ -206,27 +207,112 @@ def skew_form_matrix(pair, ap=None, eta=None):
 
 
 def certified_rank(m, upper_bound):
-    """Exact rank, fast path first: a modular rank reaching a known upper
-    bound certifies the rational rank (a minor that is non-zero mod a
-    prime is non-zero); otherwise fall back to fraction-free elimination."""
+    """Exact rank of a dense matrix (test oracle for the graded ranks): a
+    modular rank reaching a known upper bound certifies the rational rank
+    (a minor that is non-zero mod a prime is non-zero); otherwise fall
+    back to fraction-free elimination."""
     for prime in _PRIMES:
         if linalg.rank_mod_prime(m, prime) == upper_bound:
             return upper_bound
     return linalg.rank_int(m)
 
 
+@dataclass(frozen=True)
+class GradedForm:
+    """The skew form S_{jk} = trace(eta [b_j, b_k]) split by ad h weight.
+
+    `weights[j]` is the weight of the basis element b_j, and `position`
+    maps (i, j) to the index of E_ij in the basis.  Since eta has weight
+    -1, S_{jk} can be non-zero only when weights[j] + weights[k] = 1, so
+    `blocks` maps each row weight lam to the rows {j: {k: S_jk}} of weight
+    lam, all of whose columns k have weight 1 - lam, and `ranks` maps lam
+    to the exact rank of that block.  rank S is the sum of `ranks`.
+    """
+
+    weights: tuple
+    position: dict
+    blocks: dict
+    ranks: dict
+
+    @property
+    def dim(self):
+        return len(self.weights)
+
+    @property
+    def rank(self):
+        return sum(self.ranks.values())
+
+
+def _block_rank(rows):
+    """Exact (Bareiss) rank of sparse rows {column: value}."""
+    cols = sorted({k for row in rows for k in row})
+    return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
+
+
+def graded_skew_form(pair, ap=None):
+    """The skew form of eta = sum of x_beta over the support, built one
+    row at a time and ranked one ad h weight block at a time.
+
+    Row j is read off the sparse commutator [eta, b_j]: trace([eta, b_j] b_k)
+    is the (b, a) entry of the commutator for b_k = E_ab, and the difference
+    of its (i, i) and (i+1, i+1) entries for b_k = E_ii - E_{i+1,i+1}.  The
+    weights come from the h of `ap`; an entry outside its block
+    V_lam x V_{1-lam} raises ValueError, so the grading is checked on every
+    non-zero entry, not assumed.
+    """
+    ap = ap or adapted_pair(pair)
+    h = ap.h
+    basis = parabolic_basis(pair)
+    position = {}
+    diagonal = {}  # i -> index of E_ii - E_{i+1,i+1}
+    weights = []
+    for k, b in enumerate(basis):
+        if len(b) == 1:
+            ((i, j),) = b
+            position[(i, j)] = k
+            weights.append(h[i - 1] - h[j - 1])
+        else:  # E_ii - E_{i+1,i+1}
+            diagonal[min(i for i, _ in b)] = k
+            weights.append(0)
+    eta = _sparse_from_roots(ap.eta_support)
+    blocks = {}
+    for j, b in enumerate(basis):
+        row = {}
+        for (a, c), v in _sparse_commutator(eta, b).items():
+            if a != c:
+                targets = ((position.get((c, a)), v),)
+            else:
+                targets = ((diagonal.get(a), v), (diagonal.get(a - 1), -v))
+            for k, w in targets:
+                if k is not None:
+                    row[k] = row.get(k, 0) + w
+        row = {k: v for k, v in row.items() if v}
+        lam = weights[j]
+        dual = 1 - lam
+        for k in row:
+            if weights[k] != dual:
+                raise ValueError(
+                    "skew-form entry (%d, %d) has weights %s + %s, not 1"
+                    % (j, k, lam, weights[k])
+                )
+        if row:
+            blocks.setdefault(lam, {})[j] = row
+    ranks = {lam: _block_rank(rows.values()) for lam, rows in blocks.items()}
+    return GradedForm(weights=tuple(weights), position=position, blocks=blocks, ranks=ranks)
+
+
 def eta_regularity(pair, ap=None, form=None):
     """Dimension of the centraliser of eta inside the truncated parabolic.
 
-    The kernel of the skew form S is that centraliser.  dim is always odd
-    here and S alternating, so rank <= dim - 1 a priori.  `form` is the
-    (S, basis) of `skew_form_matrix`, built when not given.
+    The kernel of the skew form S is that centraliser; its rank is the sum
+    of the exact ranks of the ad h weight blocks.  dim is always odd here.
+    `form` is the `graded_skew_form` of the pair, built when not given.
     """
-    s, basis = form or skew_form_matrix(pair, ap)
-    d = len(basis)
+    form = form or graded_skew_form(pair, ap)
+    d = form.dim
     if d % 2 != 1:
         raise ValueError("the truncated parabolic has even dimension %d" % d)
-    rank = certified_rank(s, d - 1)
+    rank = form.rank
     return {
         "dim_p": d,
         "rank": rank,
@@ -237,14 +323,24 @@ def eta_regularity(pair, ap=None, form=None):
 
 def complement_check(pair, ap=None, top_root=None, form=None):
     """Check that the coadjoint orbit directions of eta together with the
-    functional of x_alpha span the dual of the truncated parabolic.
-    `form` is as for `eta_regularity`."""
+    functional of x_r (r = `top_root`, by default alpha) span the dual of
+    the truncated parabolic.
+
+    The functional of x_r = E_ab is trace(E_ab b_k), non-zero only on
+    b_k = E_ba, of weight -h(r).  Its row joins the block whose columns
+    have that weight, and only that block is ranked again.  `form` is as
+    for `eta_regularity`.
+    """
     ap = ap or adapted_pair(pair)
-    s, basis = form or skew_form_matrix(pair, ap)
-    top = _sparse_from_roots([top_root if top_root is not None else ap.alpha])
-    extra = [_sparse_trace_product(top, b) for b in basis]
-    rows = [row[:] for row in s] + [extra]
-    return certified_rank(rows, len(basis)) == len(basis)
+    form = form or graded_skew_form(pair, ap)
+    a, b = rootlab.elementary_support(top_root if top_root is not None else ap.alpha)
+    rank = form.rank
+    k = form.position.get((b, a))
+    if k is not None:
+        lam = 1 - form.weights[k]
+        rows = list(form.blocks.get(lam, {}).values())
+        rank += _block_rank(rows + [{k: 1}]) - form.ranks.get(lam, 0)
+    return rank == form.dim
 
 
 def completed_element(sc):
@@ -375,7 +471,7 @@ def full_report(pair, with_stabiliser=True):
         "conditions": {k: sc.checks[k] for k in ("a", "b", "c", "d", "ok")},
     }
     if with_stabiliser:
-        form = skew_form_matrix(pair, ap)
+        form = graded_skew_form(pair, ap)
         reg = eta_regularity(pair, ap, form=form)
         report["eta_regular"] = reg["regular"]
         report["stabiliser_dim"] = reg["stabiliser_dim"]

@@ -27,8 +27,10 @@ from meanderslice.verify import (
     adapted_pair,
     check_regular_nilpotent,
     check_restriction,
+    complement_check,
     completed_element,
     eta_regularity,
+    graded_skew_form,
     h_eigenvalue,
     path_order_regular,
 )
@@ -145,13 +147,17 @@ def test_acceptance_adapted_pair():
     done()
 
 
-# 6. the stabiliser of the linear functional is exactly one-dimensional
+# 6. the stabiliser of the linear functional is exactly one-dimensional,
+#    and x_alpha closes the coadjoint orbit directions to the whole dual
 def test_acceptance_stabiliser_dimension():
     done = timed(120.0)
-    for pair in coprime_pairs(20):
-        reg = eta_regularity(pair)
+    for pair in PAIRS_30:
+        ap = adapted_pair(pair)
+        form = graded_skew_form(pair, ap)
+        reg = eta_regularity(pair, ap, form=form)
         assert reg["stabiliser_dim"] == 1
         assert reg["regular"]
+        assert complement_check(pair, ap, form=form)
     done()
 
 

@@ -209,6 +209,48 @@ def test_optimised_mode_keeps_the_sweep():
     assert optimised.stdout == plain.stdout
 
 
+def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
+    from meanderslice import cli
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.delenv("SLICE_JOBS", raising=False)
+    argv = ["verify", "--max-n", "5", "--format", "json"]  # four pairs
+    assert cli.main(argv) == 0
+    serial = capsysbinary.readouterr().out
+    for cpus, jobs, want in ((8, 64, 4), (2, 64, 2), (8, 3, 3), (None, 64, None), (1, 4, None)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        started.clear()
+        assert cli.main(argv + ["--jobs", str(jobs)]) == 0
+        assert capsysbinary.readouterr().out == serial
+        assert started == ([] if want is None else [want])
+    # one pair never starts a pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    started.clear()
+    assert cli.main(["verify", "--max-n", "3", "--jobs", "8"]) == 0
+    assert started == []
+    # only verify takes --jobs
+    for args in (["meander", "2", "3"], ["construct", "2", "3"], ["diagram", "2", "3"],
+                 ["sigmap", "--max-n", "5"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args + ["--jobs", "2"])
+        assert exit_info.value.code == 2
+
+
 def test_invalid_jobs_env():
     import os
 

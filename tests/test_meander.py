@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -272,6 +273,20 @@ def test_atlas_deterministic():
     ]
     for s, ps in a1["shared"].items():
         assert len(ps) > 1
+
+
+def test_walk_certificates_raise_typed_errors():
+    # these checks used to be asserts, which python -O strips
+    tr = traversal(CoprimePair(2, 3))
+    td = turning_data(tr)
+    with pytest.raises(MeanderError, match="alternate"):
+        turning_data(replace(tr, phi=tr.phi[1:] + tr.phi[:1]))
+    with pytest.raises(MeanderError, match="start and end at turning points"):
+        turning_data(tr, pair=CoprimePair(1, 4))
+    with pytest.raises(MeanderError, match="exactly one boundary value"):
+        signature(replace(td, nil=(True,) * len(td.nil)))
+    with pytest.raises(MeanderError, match="max_n >= 3"):
+        signature_atlas(2)
 
 
 @given(st.integers(3, 25))

@@ -87,6 +87,15 @@ def test_alpha_p_coefficient_range_on_elementary():
                     assert alpha_p_coefficient(eps_diff(a, b, n), p) in (-1, 0, 1)
 
 
+def test_coordinate_helpers_raise_typed_errors():
+    with pytest.raises(RootError, match="root lattice"):
+        to_simple_coords((1, 1, 0))
+    with pytest.raises(RootError, match="no simple root a_3"):
+        alpha_p_coefficient(eps_diff(1, 2, 3), 3)
+    with pytest.raises(RootError, match="no roots"):
+        kostant_cascade(1)
+
+
 # --- cascades -------------------------------------------------------------
 
 def test_kostant_cascade_small():

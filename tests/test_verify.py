@@ -17,6 +17,7 @@ from meanderslice.verify import (
     completed_element,
     eta_regularity,
     full_report,
+    graded_skew_form,
     h_eigenvalue,
     parabolic_basis,
     path_order_regular,
@@ -193,7 +194,8 @@ def test_parabolic_basis_rejects_inconsistent_pair():
 
 def test_eta_regularity_rejects_even_dimension():
     pair = SimpleNamespace(p=2, q=2, n=4)  # not coprime: dim p = 10
-    form = skew_form_matrix(pair, eta={})
+    zero = SimpleNamespace(h=(0, 0, 0, 0), eta_support=())
+    form = graded_skew_form(pair, zero)
     with pytest.raises(ValueError, match="even dimension 10"):
         eta_regularity(pair, form=form)
 
@@ -201,9 +203,53 @@ def test_eta_regularity_rejects_even_dimension():
 def test_stabiliser_checks_accept_a_shared_form():
     pair = CoprimePair(2, 3)
     ap = adapted_pair(pair)
-    form = skew_form_matrix(pair, ap)
+    form = graded_skew_form(pair, ap)
     assert eta_regularity(pair, ap, form=form) == eta_regularity(pair, ap)
     assert complement_check(pair, ap, form=form) == complement_check(pair, ap)
+
+
+def dense_complement_oracle(s, basis, root):
+    """complement_check on the dense form: append the functional row of
+    x_root and rank with the modular oracle."""
+    top = {rootlab.elementary_support(root): 1}
+    extra = [verify._sparse_trace_product(top, b) for b in basis]
+    return verify.certified_rank(s + [extra], len(basis)) == len(basis)
+
+
+def test_graded_form_against_dense_oracle():
+    for pair in coprime_pairs(20):
+        ap = adapted_pair(pair)
+        form = graded_skew_form(pair, ap)
+        s, basis = skew_form_matrix(pair, ap)
+        d = len(basis)
+        # every non-zero dense entry sits in the block of its row weight
+        nonzero = 0
+        for j, row in enumerate(s):
+            for k, v in enumerate(row):
+                if v:
+                    nonzero += 1
+                    assert form.blocks[form.weights[j]][j][k] == v
+        assert nonzero == sum(len(r) for rows in form.blocks.values() for r in rows.values())
+        reg = eta_regularity(pair, ap, form=form)
+        assert reg["stabiliser_dim"] == d - verify.certified_rank(s, d - 1) == 1
+        assert complement_check(pair, ap, form=form) == dense_complement_oracle(
+            s, basis, ap.alpha
+        )
+        if pair.n <= 12:
+            for beta in ap.eta_support:
+                assert not complement_check(pair, ap, top_root=beta, form=form)
+                assert not dense_complement_oracle(s, basis, beta)
+
+
+def test_graded_form_rejects_entries_off_their_block():
+    pair = CoprimePair(2, 3)
+    ap = adapted_pair(pair)
+    tampered_h = (ap.h[0] + 1,) + ap.h[1:]
+    with pytest.raises(ValueError, match="not 1"):
+        graded_skew_form(pair, replace(ap, h=tampered_h))
+    # x_alpha has weight m = 8, not -1
+    with pytest.raises(ValueError, match="not 1"):
+        graded_skew_form(pair, replace(ap, eta_support=ap.eta_support + (ap.alpha,)))
 
 
 def test_complement_check():
