@@ -158,7 +158,7 @@ def _verify_payload(pair):
         "m": rep["m"],
         "h": [str(v) for v in rep["h"]],
         "order": list(rep["order"]),
-        "weyl_perm": list(rep["weyl_perm"]),
+        "weyl_perm": list(rep["order"]),
         "conditions": rep["conditions"],
         "regular_nilpotent": rep["regular_nilpotent"],
         "restriction_ok": rep["restriction"]["matches_eta"]
@@ -367,17 +367,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, pq=True, max_n=False, jobs=False, formats=("json", "csv", "text"), default="text"):
+    def common(
+        sp, pq=True, max_n=False, jobs=False, diagram=False,
+        formats=("json", "csv", "text"), default="text",
+    ):
         if pq:
             sp.add_argument("p", type=int, nargs="?")
             sp.add_argument("q", type=int, nargs="?")
         if max_n:
             sp.add_argument("--max-n", type=int, dest="max_n")
         sp.add_argument("--format", choices=formats, default=default)
-        sp.add_argument("--diagram", choices=("ascii", "svg"))
         sp.add_argument("--out")
         if jobs:
             sp.add_argument("--jobs", type=int, default=1)
+        if diagram:
+            sp.add_argument("--diagram", choices=("ascii", "svg"))
 
     common(sub.add_parser("meander", help="orbit, turning points, signature"))
     common(sub.add_parser("construct", help="modified simple root systems with ledger"))
@@ -389,6 +393,7 @@ def build_parser():
     common(sub.add_parser("sigmap", help="signature atlas over all coprime pairs"), pq=False, max_n=True)
     common(
         sub.add_parser("diagram", help="ascii/svg rendering of the meander"),
+        diagram=True,
         formats=("json", "csv", "text", "ascii", "svg"),
         default="ascii",
     )

@@ -67,9 +67,6 @@ class Traversal:
     a: int  # starting point, tau-fixed
     b: int  # finishing point
 
-    def position(self, value):
-        return self.phi.index(value) + 1
-
 
 def traversal(pair):
     """Walk the orbit from a, alternating sigma and tau."""
@@ -153,12 +150,9 @@ class TurningData:
     def label_at(self, t):
         return self.labels[self.positions.index(t)]
 
-    def position_of_label(self, lab):
-        return self.positions[self.labels.index(lab)]
 
-
-def turning_data(tr, pair=None):
-    pair = pair or tr.pair
+def turning_data(tr):
+    pair = tr.pair
     p, q, n = pair.p, pair.q, pair.n
     A, B = turning_set_closed_form(pair)
     flips = turning_set_sign_flip(pair)

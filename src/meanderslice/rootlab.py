@@ -39,10 +39,6 @@ def eps_diff(a, b, n):
     return tuple(coords)
 
 
-def is_root_vector(r):
-    return sum(r) == 0
-
-
 def is_elementary(r):
     """True iff r = e_a - e_b for some a != b."""
     plus = sum(1 for c in r if c == 1)

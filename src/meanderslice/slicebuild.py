@@ -4,28 +4,26 @@ Starting from the chain beta_1..beta_{n-1} of the traversal, selected
 boundary values are changed by adding interval values so that the signed
 list eps_i * beta'_i becomes a directed Hamiltonian path again, with every
 changed value contributing the p-th simple root with coefficient -1.
-A deterministic rule engine performs the changes from the signature; a
-checker certifies the result, and an exhaustive search over admissible
-changes provides a fallback.  When the exceptional value is left unchanged
-a local repair step replaces it by the negative of an interval value.
+A deterministic rule engine performs the changes from the signature, and a
+checker certifies the result.  When the exceptional value is left unchanged
+a local repair step replaces it by the negative of an interval value.  A
+result the checker rejects raises ConstructionFailed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from . import rootlab
 from .meander import beta_sequence, signature, traversal, turning_data
 
 
-class ConstructionRuleError(RuntimeError):
-    """The rule engine hit a state its case analysis does not cover."""
-
-
 class ConstructionFailed(RuntimeError):
-    """Neither the rule engine nor the exhaustive search produced a
-    certified result."""
+    """The rule engine and repair step produced no certified result."""
+
+
+class ConstructionRuleError(ConstructionFailed):
+    """The rule engine hit a state its case analysis does not cover."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,6 @@ class ChangeLedger:
     beta_prime: tuple  # values after the rule changes
     fix_entries: dict = field(default_factory=dict)  # index -> new value
     beta_final: tuple = None  # values after the repair step (or beta_prime)
-
-    def final(self):
-        return self.beta_final if self.beta_final is not None else self.beta_prime
 
 
 def _prev_pos(td, t):
@@ -307,6 +302,8 @@ def check_conditions(td, beta_now):
             res["witness"] = res["witness"] or "coefficient at beta_%d" % i
             break
     res["c"] = beta_now[td.e - 1] != betas[td.e - 1]
+    if not res["c"]:
+        res["witness"] = res["witness"] or "exceptional value beta_%d unchanged" % td.e
     if order is None:
         res["d"] = False
         res["d_all"] = False
@@ -377,79 +374,6 @@ def exceptional_fix(td, ledger):
     return fixes, tuple(beta_final)
 
 
-def _change_options(td, t):
-    """Admissible single changes at the internal turning position t.
-
-    Either boundary value (never a nil one) may change, by adding an
-    interval value reaching an odd number of turning steps away on the
-    opposite side, provided the signed result is elementary with p-th
-    coefficient -1.  Sorted for deterministic enumeration.
-    """
-    p = td.pair.p
-    betas = beta_sequence(td.traversal)
-    ti = td.positions.index(t)
-    opts = []
-    for idx in (t - 1, t):
-        if not 1 <= idx <= td.pair.n - 1 or td.nil[idx - 1]:
-            continue
-        if idx == t - 1:
-            spans = [(t, f) for f in td.positions[ti + 1 :: 2]]
-        else:
-            spans = [(f, t) for f in td.positions[ti - 1 :: -2]]
-        for span in spans:
-            iv = interval_value(td, *span)
-            newv = rootlab.add(betas[idx - 1], iv.value)
-            signed = rootlab.scale(td.eps[idx - 1], newv)
-            if rootlab.is_elementary(signed) and rootlab.alpha_p_coefficient(signed, p) == -1:
-                opts.append((idx, span))
-    opts.sort()
-    return opts
-
-
-def exhaustive_solutions(td, first_only=False):
-    """Every certified assignment of one admissible change per internal
-    turning point, with the repair step applied when only condition (c)
-    fails.  Returns a list of ChangeLedger objects in deterministic
-    order."""
-    betas = beta_sequence(td.traversal)
-    internal = list(td.positions[1:-1])
-    options = [_change_options(td, t) for t in internal]
-    out = []
-    for combo in product(*options):
-        idxs = [idx for idx, _ in combo]
-        if len(set(idxs)) != len(idxs):
-            continue
-        entries = {}
-        beta_prime = list(betas)
-        for idx, span in combo:
-            iv = interval_value(td, *span)
-            beta_prime[idx - 1] = rootlab.add(betas[idx - 1], iv.value)
-            entries[idx] = ChangeEntry(index=idx, span=span, case="search", added=iv.value)
-        ledger = ChangeLedger(
-            entries=entries,
-            chi={},
-            undecided=(None, "search"),
-            beta_prime=tuple(beta_prime),
-        )
-        res = check_conditions(td, ledger.beta_prime)
-        if res["a"] and res["b"] and res["d"] and not res["c"]:
-            try:
-                fixes, beta_final = exceptional_fix(td, ledger)
-            except ConstructionRuleError:
-                continue
-            res2 = check_conditions(td, beta_final)
-            if res2["ok"]:
-                ledger.fix_entries = fixes
-                ledger.beta_final = beta_final
-                out.append(ledger)
-        elif res["ok"]:
-            ledger.beta_final = ledger.beta_prime
-            out.append(ledger)
-        if out and first_only:
-            break
-    return out
-
-
 @dataclass
 class SliceConstruction:
     pair: object
@@ -461,8 +385,10 @@ class SliceConstruction:
     pi_final: tuple  # after the repair step (equal to pi_star without one)
     order: tuple  # path order of pi_final
     used_exceptional_fix: bool
-    construction_mode: str  # "rule-based" | "search-fallback"
     checks: dict
+
+    # the only construction path; kept for the v1 report field
+    construction_mode = "rule-based"
 
     @property
     def changed(self):
@@ -470,48 +396,33 @@ class SliceConstruction:
 
 
 def construct(pair):
-    """Full pipeline for one coprime pair."""
+    """Full pipeline for one coprime pair: the rule engine, the checker,
+    and the repair step when only condition (c) fails.
+
+    Raises ConstructionFailed, carrying the checker's witness, when the
+    result is not certified; a ConstructionRuleError from the rule engine
+    or the repair step is a ConstructionFailed too.
+    """
     tr = traversal(pair)
     td = turning_data(tr)
     sig = signature(td)
-    mode = "rule-based"
-    ledger = None
-    checks = None
-    used_fix = False
-    try:
-        ledger = build_pi_star(td, sig)
-        checks = check_conditions(td, ledger.beta_prime)
-        if checks["a"] and checks["b"] and checks["d"] and not checks["c"]:
-            fixes, beta_final = exceptional_fix(td, ledger)
-            ledger.fix_entries = fixes
-            ledger.beta_final = beta_final
-            used_fix = True
-            checks = check_conditions(td, beta_final)
-        else:
-            ledger.beta_final = ledger.beta_prime
-        ok = checks["ok"]
-    except ConstructionRuleError:
-        ok = False
-    if not ok:
-        mode = "search-fallback"
-        found = exhaustive_solutions(td, first_only=True)
-        if not found:
-            raise ConstructionFailed(
-                "no certified construction for (%d,%d)" % (pair.p, pair.q)
-            )
-        ledger = found[0]
-        used_fix = bool(ledger.fix_entries)
-        checks = check_conditions(td, ledger.final())
-        if not checks["ok"]:
-            raise ConstructionFailed(
-                "the search result for (%d,%d) fails its own check" % (pair.p, pair.q)
-            )
+    ledger = build_pi_star(td, sig)
+    ledger.beta_final = ledger.beta_prime
+    checks = check_conditions(td, ledger.beta_prime)
+    used_fix = checks["a"] and checks["b"] and checks["d"] and not checks["c"]
+    if used_fix:
+        ledger.fix_entries, ledger.beta_final = exceptional_fix(td, ledger)
+        checks = check_conditions(td, ledger.beta_final)
+    if not checks["ok"]:
+        raise ConstructionFailed(
+            "no certified construction for (%d,%d): %s" % (pair.p, pair.q, checks["witness"])
+        )
     n = pair.n
     pi_star = tuple(
         rootlab.scale(td.eps[i], ledger.beta_prime[i]) for i in range(n - 1)
     )
     pi_final = tuple(
-        rootlab.scale(td.eps[i], ledger.final()[i]) for i in range(n - 1)
+        rootlab.scale(td.eps[i], ledger.beta_final[i]) for i in range(n - 1)
     )
     return SliceConstruction(
         pair=pair,
@@ -523,7 +434,6 @@ def construct(pair):
         pi_final=pi_final,
         order=checks["order"],
         used_exceptional_fix=used_fix,
-        construction_mode=mode,
         checks=checks,
     )
 

@@ -344,11 +344,10 @@ def complement_check(pair, ap=None, top_root=None, form=None):
 
 
 def completed_element(sc):
-    """Support of y'': the modified system itself plus, for every changed
-    non-exceptional index, the original signed value.  Each added root must
-    be positive and non-simple for the new path order."""
+    """Sorted support of y'': the modified system itself plus, for every
+    changed non-exceptional index, the original signed value.  Each added
+    root must be positive and non-simple for the new path order."""
     td = sc.turning
-    n = td.pair.n
     betas = beta_sequence(td.traversal)
     support = list(sc.pi_final)
     pos = {v: i for i, v in enumerate(sc.order)}
@@ -364,11 +363,7 @@ def completed_element(sc):
         support.append(r)
     if len(set(support)) != len(support):
         raise ValueError("the support of y'' repeats a root")
-    m = linalg.zeros(n, n)
-    for r in support:
-        a, b = rootlab.elementary_support(r)
-        m[a - 1][b - 1] += 1
-    return tuple(sorted(support)), m
+    return tuple(sorted(support))
 
 
 def path_order_regular(support, order):
@@ -401,12 +396,12 @@ def check_regular_nilpotent(mat):
     return True
 
 
-def check_restriction(sc, ap):
-    """Split the support of y'' by the coefficient of the p-th simple root:
-    the 0/1 part must be exactly the eta support, the rest must have
-    coefficient -1 (hence lie in the complementary nilradical)."""
-    p = sc.pair.p
-    support, _ = completed_element(sc)
+def check_restriction(support, ap):
+    """Split `support`, the `completed_element` of the pair of `ap`, by the
+    coefficient of the p-th simple root: the 0/1 part must be exactly the
+    eta support, the rest must have coefficient -1 (hence lie in the
+    complementary nilradical)."""
+    p = ap.pair.p
     zero_one = {r for r in support if rootlab.alpha_p_coefficient(r, p) in (0, 1)}
     minus = {r for r in support if rootlab.alpha_p_coefficient(r, p) == -1}
     return {
@@ -445,9 +440,10 @@ def full_report(pair, with_stabiliser=True):
     path order, certified during construction, is the Weyl permutation."""
     sc = construct(pair)
     ap = adapted_pair(pair)
-    support, _ = completed_element(sc)
+    support = completed_element(sc)
+    modified = set(sc.pi_final)
     regular = path_order_regular(support, sc.order)
-    restrict = check_restriction(sc, ap)
+    restrict = check_restriction(support, ap)
     eigen_ok = all(
         h_eigenvalue(ap.h, r) == Fraction(-1) for r in ap.eta_support
     ) and all(h_eigenvalue(ap.h, r).denominator == 1 for r in support)
@@ -458,11 +454,10 @@ def full_report(pair, with_stabiliser=True):
         "construction_mode": sc.construction_mode,
         "used_exceptional_fix": sc.used_exceptional_fix,
         "order": sc.order,
-        "weyl_perm": sc.order,
         "pi_star": sc.pi_star,
         "pi_final": sc.pi_final,
         "support_y2": support,
-        "added_roots": tuple(r for r in support if r not in set(sc.pi_final)),
+        "added_roots": tuple(r for r in support if r not in modified),
         "regular_nilpotent": regular,
         "restriction": restrict,
         "h": ap.h,

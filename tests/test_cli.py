@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -76,6 +77,30 @@ def test_meander_text():
 
 
 # --- construct ------------------------------------------------------------
+
+def test_construct_bytes_pinned(capsysbinary):
+    from meanderslice import cli
+    from meanderslice.meander import coprime_pairs
+
+    for pair in coprime_pairs(30):
+        assert cli.main(["construct", str(pair.p), str(pair.q), "--format", "json"]) == 0
+    out = capsysbinary.readouterr().out
+    # the v1 report bytes of every construction with n <= 30
+    assert hashlib.md5(out).hexdigest() == "442067af32103bfeb3cb6cde7dfe907d"
+
+
+def test_construct_rule_error_exits_1(monkeypatch, capsys):
+    from meanderslice import cli
+    from meanderslice.slicebuild import ConstructionRuleError
+
+    def rule_error(sc):
+        raise ConstructionRuleError("cycle detected among the changed values")
+
+    monkeypatch.setattr(cli, "triangularity_order", rule_error)
+    assert cli.main(["construct", "2", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "slice: verification failure: cycle detected among the changed values\n"
+
 
 def test_construct_json_witnesses():
     payload = run_json("construct", "2", "3")
@@ -243,11 +268,19 @@ def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
     started.clear()
     assert cli.main(["verify", "--max-n", "3", "--jobs", "8"]) == 0
     assert started == []
-    # only verify takes --jobs
-    for args in (["meander", "2", "3"], ["construct", "2", "3"], ["diagram", "2", "3"],
-                 ["sigmap", "--max-n", "5"]):
+    # only verify takes --jobs, and only diagram takes --diagram
+    for args in (
+        ["meander", "2", "3", "--jobs", "2"],
+        ["construct", "2", "3", "--jobs", "2"],
+        ["diagram", "2", "3", "--jobs", "2"],
+        ["sigmap", "--max-n", "5", "--jobs", "2"],
+        ["meander", "2", "3", "--diagram", "svg"],
+        ["construct", "2", "3", "--diagram", "svg"],
+        ["verify", "2", "3", "--diagram", "svg"],
+        ["sigmap", "--max-n", "5", "--diagram", "svg"],
+    ):
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(args + ["--jobs", "2"])
+            cli.main(args)
         assert exit_info.value.code == 2
 
 

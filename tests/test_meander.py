@@ -282,7 +282,7 @@ def test_walk_certificates_raise_typed_errors():
     with pytest.raises(MeanderError, match="alternate"):
         turning_data(replace(tr, phi=tr.phi[1:] + tr.phi[:1]))
     with pytest.raises(MeanderError, match="start and end at turning points"):
-        turning_data(tr, pair=CoprimePair(1, 4))
+        turning_data(replace(tr, pair=CoprimePair(1, 4)))
     with pytest.raises(MeanderError, match="exactly one boundary value"):
         signature(replace(td, nil=(True,) * len(td.nil)))
     with pytest.raises(MeanderError, match="max_n >= 3"):

@@ -9,10 +9,10 @@ from meanderslice.slicebuild import (
     ConstructionRuleError,
     check_conditions,
     construct,
-    exhaustive_solutions,
     interval_value,
     triangularity_order,
 )
+from oracles import exhaustive_solutions
 
 SWEEP = [construct(pair) for pair in coprime_pairs(20)]
 
@@ -243,17 +243,30 @@ def test_triangularity_rejects_non_unit_diagonal():
         triangularity_order(replace(sc, pi_star=pi_star))
 
 
-def test_construct_rejects_search_result_failing_its_check(monkeypatch):
-    td = sc_for(2, 3).turning
-    ledger = exhaustive_solutions(td, first_only=True)[0]
+def test_construct_fails_with_the_checker_witness(monkeypatch):
+    build = slicebuild.build_pi_star
 
+    def reversed_first_value(td, sig):
+        ledger = build(td, sig)
+        ledger.beta_prime = (rootlab.neg(ledger.beta_prime[0]),) + ledger.beta_prime[1:]
+        return ledger
+
+    monkeypatch.setattr(slicebuild, "build_pi_star", reversed_first_value)
+    with pytest.raises(ConstructionFailed, match=r"for \(2,3\): path: .*\(branching\)"):
+        construct(CoprimePair(2, 3))
+    # (1, 2) needs the repair step; one that changes nothing leaves (c) failing
+    monkeypatch.undo()
+    monkeypatch.setattr(slicebuild, "exceptional_fix", lambda td, ledger: ({}, ledger.beta_prime))
+    with pytest.raises(ConstructionFailed, match=r"for \(1,2\): exceptional value beta_2 unchanged"):
+        construct(CoprimePair(1, 2))
+
+
+def test_construct_surfaces_rule_errors_as_failures(monkeypatch):
     def rule_error(td, sig):
         raise ConstructionRuleError("forced")
 
     monkeypatch.setattr(slicebuild, "build_pi_star", rule_error)
-    monkeypatch.setattr(slicebuild, "exhaustive_solutions", lambda td, first_only: [ledger])
-    monkeypatch.setattr(slicebuild, "check_conditions", lambda td, values: {"ok": False})
-    with pytest.raises(ConstructionFailed, match="fails its own check"):
+    with pytest.raises(ConstructionFailed, match="forced"):
         construct(CoprimePair(2, 3))
 
 
@@ -270,14 +283,14 @@ def test_exhaustive_matches_rule_based_small():
     for pair in coprime_pairs(10):
         sc = construct(pair)
         sols = exhaustive_solutions(sc.turning)
-        finals = [s.final() for s in sols]
-        assert sc.ledger.final() in finals
-        for s in sols:
-            assert check_conditions(sc.turning, s.final())["ok"]
+        finals = [s.beta_final for s in sols]
+        assert sc.ledger.beta_final in finals
+        for s in finals:
+            assert check_conditions(sc.turning, s)["ok"]
 
 
 def test_exhaustive_deterministic():
     td = sc_for(3, 5).turning
-    a = [s.final() for s in exhaustive_solutions(td)]
-    b = [s.final() for s in exhaustive_solutions(td)]
+    a = [s.beta_final for s in exhaustive_solutions(td)]
+    b = [s.beta_final for s in exhaustive_solutions(td)]
     assert a == b and len(a) >= 1
