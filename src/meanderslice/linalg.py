@@ -1,7 +1,9 @@
 """Small exact linear algebra toolkit: integer matrices, fraction-free
-rank, and rational linear solves.  No floating point anywhere.  The
-certifier uses only `zeros` and the Bareiss rank `rank_int`; the modular
-rank, the products and the solves are test oracles."""
+and modular ranks, and rational linear solves.  No floating point
+anywhere.  The certifier uses the sparse modular rank `rank_mod_prime`,
+a lower bound that its callers certify or confirm, and the Bareiss rank
+`rank_int` where it must confirm; the products and the solves are test
+oracles."""
 
 from __future__ import annotations
 
@@ -62,31 +64,32 @@ def rank_int(rows):
 
 
 def rank_mod_prime(rows, prime):
-    """Rank of an integer matrix over GF(prime) (test oracle).
+    """Rank over GF(prime) of an integer matrix given as sparse rows
+    {column: value}.
 
     Always a lower bound for the rational rank (a non-vanishing minor mod
-    prime cannot vanish over the rationals).  Only rows with a non-zero
-    entry in the pivot column are touched, so sparse inputs stay cheap.
+    prime cannot vanish over the rationals).  Each row is reduced against
+    the pivot rows found so far, always at its least column, and becomes a
+    pivot row, normalised to 1 at that column, if anything is left.
     """
-    m = [[x % prime for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], prime - 2, prime)
-        m[r] = [(x * inv) % prime for x in m[r]]
-        for i in range(r + 1, nr):
-            f = m[i][c]
-            if f:
-                m[i] = [(x - f * y) % prime for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+    pivots = {}  # column -> pivot row with leading entry 1 at that column
+    for row in rows:
+        row = {k: v % prime for k, v in row.items() if v % prime}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, prime)
+                pivots[c] = {k: v * inv % prime for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                x = (row.get(k, 0) - f * v) % prime
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def solve_unique(a, b):

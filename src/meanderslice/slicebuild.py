@@ -401,22 +401,25 @@ def construct(pair):
 
     Raises ConstructionFailed, carrying the checker's witness, when the
     result is not certified; a ConstructionRuleError from the rule engine
-    or the repair step is a ConstructionFailed too.
+    or the repair step is a ConstructionFailed too.  Both messages name
+    the pair.
     """
     tr = traversal(pair)
     td = turning_data(tr)
     sig = signature(td)
-    ledger = build_pi_star(td, sig)
-    ledger.beta_final = ledger.beta_prime
-    checks = check_conditions(td, ledger.beta_prime)
-    used_fix = checks["a"] and checks["b"] and checks["d"] and not checks["c"]
-    if used_fix:
-        ledger.fix_entries, ledger.beta_final = exceptional_fix(td, ledger)
-        checks = check_conditions(td, ledger.beta_final)
+    prefix = "no certified construction for (%d,%d): " % (pair.p, pair.q)
+    try:
+        ledger = build_pi_star(td, sig)
+        ledger.beta_final = ledger.beta_prime
+        checks = check_conditions(td, ledger.beta_prime)
+        used_fix = checks["a"] and checks["b"] and checks["d"] and not checks["c"]
+        if used_fix:
+            ledger.fix_entries, ledger.beta_final = exceptional_fix(td, ledger)
+            checks = check_conditions(td, ledger.beta_final)
+    except ConstructionRuleError as ex:
+        raise ConstructionRuleError(prefix + str(ex)) from ex
     if not checks["ok"]:
-        raise ConstructionFailed(
-            "no certified construction for (%d,%d): %s" % (pair.p, pair.q, checks["witness"])
-        )
+        raise ConstructionFailed(prefix + str(checks["witness"]))
     n = pair.n
     pi_star = tuple(
         rootlab.scale(td.eps[i], ledger.beta_prime[i]) for i in range(n - 1)

@@ -9,6 +9,7 @@ simple root system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -211,8 +212,9 @@ def certified_rank(m, upper_bound):
     modular rank reaching a known upper bound certifies the rational rank
     (a minor that is non-zero mod a prime is non-zero); otherwise fall
     back to fraction-free elimination."""
+    rows = [dict(enumerate(row)) for row in m]
     for prime in _PRIMES:
-        if linalg.rank_mod_prime(m, prime) == upper_bound:
+        if linalg.rank_mod_prime(rows, prime) == upper_bound:
             return upper_bound
     return linalg.rank_int(m)
 
@@ -221,18 +223,22 @@ def certified_rank(m, upper_bound):
 class GradedForm:
     """The skew form S_{jk} = trace(eta [b_j, b_k]) split by ad h weight.
 
-    `weights[j]` is the weight of the basis element b_j, and `position`
-    maps (i, j) to the index of E_ij in the basis.  Since eta has weight
-    -1, S_{jk} can be non-zero only when weights[j] + weights[k] = 1, so
-    `blocks` maps each row weight lam to the rows {j: {k: S_jk}} of weight
-    lam, all of whose columns k have weight 1 - lam, and `ranks` maps lam
-    to the exact rank of that block.  rank S is the sum of `ranks`.
+    Weights are integers: h is scaled by `scale`, the least common
+    denominator D of its entries, so `weights[j]` is D times the ad h
+    weight of the basis element b_j.  `position` maps (i, j) to the index
+    of E_ij in the basis.  Since eta has weight -1, S_{jk} can be non-zero
+    only when weights[j] + weights[k] = D, so `blocks` maps each row weight
+    lam to the rows {j: {k: S_jk}} of weight lam, all of whose columns k
+    have weight D - lam; block D - lam is minus the transpose of block lam.
+    `ranks` maps lam to the exact rank of that block, and rank S is the
+    sum of `ranks`.
     """
 
     weights: tuple
     position: dict
     blocks: dict
     ranks: dict
+    scale: int
 
     @property
     def dim(self):
@@ -243,25 +249,74 @@ class GradedForm:
         return sum(self.ranks.values())
 
 
+# the prime of the modular block ranks
+_PRIME = 2**31 - 1
+
+
 def _block_rank(rows):
     """Exact (Bareiss) rank of sparse rows {column: value}."""
     cols = sorted({k for row in rows for k in row})
     return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
 
 
+def _eta_index(support):
+    """eta = sum of x_beta over `support`, indexed both ways: the columns b
+    of the entries (a, b) in row a, and the rows a of those in column b.
+    On the two paths of the support each list has at most two entries."""
+    by_row, by_col = {}, {}
+    for r in support:
+        a, b = rootlab.elementary_support(r)
+        by_row.setdefault(a, []).append(b)
+        by_col.setdefault(b, []).append(a)
+    return by_row, by_col
+
+
+def _form_row(b, index, position, diagonal):
+    """Row {k: S_jk} of the skew form for the basis element b = b_j.
+
+    S_jk = trace([eta, b_j] b_k) is the (y, x) entry of the commutator for
+    b_k = E_xy, and the difference of its (i, i) and (i+1, i+1) entries for
+    b_k = E_ii - E_{i+1,i+1}.  [eta, E_cd] has +1 at (a, d) for each entry
+    (a, c) of eta and -1 at (c, e) for each entry (d, e), so with `index`
+    from `_eta_index` a row costs O(1).
+    """
+    by_row, by_col = index
+    row = {}
+
+    def add(x, y, v):  # the commutator gains v at (x, y)
+        if x != y:
+            targets = ((position.get((y, x)), v),)
+        else:
+            targets = ((diagonal.get(x), v), (diagonal.get(x - 1), -v))
+        for k, w in targets:
+            if k is not None:
+                row[k] = row.get(k, 0) + w
+
+    for (c, d), coeff in b.items():
+        for a in by_col.get(c, ()):
+            add(a, d, coeff)
+        for e in by_row.get(d, ()):
+            add(c, e, -coeff)
+    return {k: v for k, v in row.items() if v}
+
+
 def graded_skew_form(pair, ap=None):
     """The skew form of eta = sum of x_beta over the support, built one
-    row at a time and ranked one ad h weight block at a time.
+    row at a time (`_form_row`) and ranked one ad h weight block at a time.
 
-    Row j is read off the sparse commutator [eta, b_j]: trace([eta, b_j] b_k)
-    is the (b, a) entry of the commutator for b_k = E_ab, and the difference
-    of its (i, i) and (i+1, i+1) entries for b_k = E_ii - E_{i+1,i+1}.  The
-    weights come from the h of `ap`; an entry outside its block
-    V_lam x V_{1-lam} raises ValueError, so the grading is checked on every
-    non-zero entry, not assumed.
+    The weights come from the h of `ap`, scaled to integers.  Two checks
+    run on every non-zero entry, so neither is assumed: an entry outside
+    its block V_lam x V_{D-lam} raises ValueError, and so does an entry
+    S_jk that is not minus S_kj.  S is then alternating, so its rank is
+    even and at most d.  The blocks with 2 lam >= D are ranked modulo a
+    prime, each rank doubled except at 2 lam = D (block D - lam is minus
+    the transpose of block lam).  Each modular rank is a lower bound, so
+    when their sum reaches d - 1 (d is odd here) every one of them is
+    exact; otherwise every block is ranked again with Bareiss.
     """
     ap = ap or adapted_pair(pair)
-    h = ap.h
+    scale = math.lcm(*(x.denominator for x in ap.h))
+    h = [x.numerator * (scale // x.denominator) for x in ap.h]
     basis = parabolic_basis(pair)
     position = {}
     diagonal = {}  # i -> index of E_ii - E_{i+1,i+1}
@@ -274,31 +329,40 @@ def graded_skew_form(pair, ap=None):
         else:  # E_ii - E_{i+1,i+1}
             diagonal[min(i for i, _ in b)] = k
             weights.append(0)
-    eta = _sparse_from_roots(ap.eta_support)
+    index = _eta_index(ap.eta_support)
     blocks = {}
     for j, b in enumerate(basis):
-        row = {}
-        for (a, c), v in _sparse_commutator(eta, b).items():
-            if a != c:
-                targets = ((position.get((c, a)), v),)
-            else:
-                targets = ((diagonal.get(a), v), (diagonal.get(a - 1), -v))
-            for k, w in targets:
-                if k is not None:
-                    row[k] = row.get(k, 0) + w
-        row = {k: v for k, v in row.items() if v}
+        row = _form_row(b, index, position, diagonal)
         lam = weights[j]
-        dual = 1 - lam
+        dual = scale - lam
         for k in row:
             if weights[k] != dual:
                 raise ValueError(
                     "skew-form entry (%d, %d) has weights %s + %s, not 1"
-                    % (j, k, lam, weights[k])
+                    % (j, k, Fraction(lam, scale), Fraction(weights[k], scale))
                 )
         if row:
             blocks.setdefault(lam, {})[j] = row
-    ranks = {lam: _block_rank(rows.values()) for lam, rows in blocks.items()}
-    return GradedForm(weights=tuple(weights), position=position, blocks=blocks, ranks=ranks)
+    for rows in blocks.values():
+        for j, row in rows.items():
+            for k, v in row.items():
+                if blocks.get(weights[k], {}).get(k, {}).get(j) != -v:
+                    raise ValueError(
+                        "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
+                    )
+    d = len(basis)
+    ranks = {}
+    for lam, rows in blocks.items():
+        if 2 * lam >= scale:
+            ranks[lam] = linalg.rank_mod_prime(rows.values(), _PRIME)
+            if 2 * lam > scale:
+                ranks[scale - lam] = ranks[lam]
+    # rank S is even, so a lower bound reaching d - d % 2 is exact
+    if sum(ranks.values()) != d - d % 2:
+        ranks = {lam: _block_rank(rows.values()) for lam, rows in blocks.items()}
+    return GradedForm(
+        weights=tuple(weights), position=position, blocks=blocks, ranks=ranks, scale=scale
+    )
 
 
 def eta_regularity(pair, ap=None, form=None):
@@ -328,8 +392,10 @@ def complement_check(pair, ap=None, top_root=None, form=None):
 
     The functional of x_r = E_ab is trace(E_ab b_k), non-zero only on
     b_k = E_ba, of weight -h(r).  Its row joins the block whose columns
-    have that weight, and only that block is ranked again.  `form` is as
-    for `eta_regularity`.
+    have that weight, and only that block is ranked again: modulo a prime
+    first, where a gain over the exact block rank is exact; no gain there
+    may be a miss, so it is confirmed with Bareiss.  `form` is as for
+    `eta_regularity`.
     """
     ap = ap or adapted_pair(pair)
     form = form or graded_skew_form(pair, ap)
@@ -337,9 +403,11 @@ def complement_check(pair, ap=None, top_root=None, form=None):
     rank = form.rank
     k = form.position.get((b, a))
     if k is not None:
-        lam = 1 - form.weights[k]
-        rows = list(form.blocks.get(lam, {}).values())
-        rank += _block_rank(rows + [{k: 1}]) - form.ranks.get(lam, 0)
+        lam = form.scale - form.weights[k]
+        rows = list(form.blocks.get(lam, {}).values()) + [{k: 1}]
+        base = form.ranks.get(lam, 0)
+        if linalg.rank_mod_prime(rows, _PRIME) > base or _block_rank(rows) > base:
+            rank += 1
     return rank == form.dim
 
 

@@ -102,6 +102,27 @@ def test_construct_rule_error_exits_1(monkeypatch, capsys):
     assert err == "slice: verification failure: cycle detected among the changed values\n"
 
 
+def test_verify_rule_error_names_the_pair(monkeypatch, capsys):
+    from meanderslice import cli, slicebuild
+    from meanderslice.slicebuild import ConstructionRuleError
+
+    build = slicebuild.build_pi_star
+
+    def rule_error(td, sig):
+        if (td.pair.p, td.pair.q) == (2, 5):
+            raise ConstructionRuleError("beta_3 changed twice")
+        return build(td, sig)
+
+    monkeypatch.setattr(slicebuild, "build_pi_star", rule_error)
+    monkeypatch.delenv("SLICE_JOBS", raising=False)
+    assert cli.main(["verify", "--max-n", "8", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "slice: verification failure: no certified construction for (2,5): beta_3 changed twice\n"
+    )
+
+
 def test_construct_json_witnesses():
     payload = run_json("construct", "2", "3")
     assert payload["order"] == [2, 4, 1, 5, 3]

@@ -137,7 +137,7 @@ def test_beta_sequence_is_path_in_phi_order():
 # --- turning points -------------------------------------------------------
 
 def test_turning_sets_agree():
-    for pair in ALL_PAIRS:
+    for pair in coprime_pairs(140):
         A, B = turning_set_closed_form(pair)
         assert turning_set_sign_flip(pair) == A | B
         assert not A & B

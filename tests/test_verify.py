@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meanderslice import linalg, rootlab, verify
 from meanderslice.meander import CoprimePair, coprime_pairs
@@ -63,7 +66,22 @@ def test_rank_int_against_fraction_oracle():
         ]
         want = rank_fraction_oracle(rows)
         assert linalg.rank_int(rows) == want
-        assert linalg.rank_mod_prime(rows, 32749) <= want
+        assert linalg.rank_mod_prime([dict(enumerate(r)) for r in rows], 32749) <= want
+
+
+small_matrices = st.integers(1, 6).flatmap(
+    lambda nc: st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc), min_size=1, max_size=6)
+)
+
+
+@given(small_matrices, st.sampled_from((2, 3, 5, 7, verify._PRIME)))
+def test_rank_mod_prime_is_a_lower_bound(rows, prime):
+    exact = linalg.rank_int(rows)
+    rank = linalg.rank_mod_prime([dict(enumerate(r)) for r in rows], prime)
+    assert rank <= exact
+    if prime == verify._PRIME:
+        # every minor is below (4 * sqrt(6))^6 < 2^31 - 1 in absolute value
+        assert rank == exact
 
 
 def test_solve_unique():
@@ -241,6 +259,147 @@ def test_graded_form_against_dense_oracle():
                 assert not dense_complement_oracle(s, basis, beta)
 
 
+class RankSpy:
+    """Counts the calls of `linalg.rank_int`, the Bareiss fallback."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = linalg.rank_int
+
+        def spy(rows):
+            self.calls += 1
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "rank_int", spy)
+
+
+def test_block_ranks_against_bareiss(monkeypatch):
+    spy = RankSpy(monkeypatch)
+    forms = []
+    for pair in coprime_pairs(30):
+        ap = adapted_pair(pair)
+        forms.append(graded_skew_form(pair, ap))
+        assert complement_check(pair, ap, form=forms[-1])
+    # the certificate needed no Bareiss rank
+    assert spy.calls == 0
+    for form in forms:
+        scale = form.scale
+        for lam, rows in form.blocks.items():
+            exact = verify._block_rank(rows.values())
+            assert linalg.rank_mod_prime(rows.values(), verify._PRIME) == exact
+            assert form.ranks[lam] == exact
+            if 2 * lam < scale:
+                partner = form.blocks[scale - lam]
+                assert form.ranks[scale - lam] == exact
+                assert {(j, k): v for j, row in rows.items() for k, v in row.items()} == {
+                    (j, k): -v for k, row in partner.items() for j, v in row.items()
+                }
+
+
+def mutated_form(monkeypatch, pair, ap, mutate):
+    """graded_skew_form with `mutate(j, row)` applied to each built row."""
+    basis = verify.parabolic_basis(pair)
+    build = verify._form_row
+
+    def form_row(b, *args):
+        row = build(b, *args)
+        mutate(basis.index(b), row)
+        return row
+
+    monkeypatch.setattr(verify, "_form_row", form_row)
+    return graded_skew_form(pair, ap)
+
+
+def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
+    pair = CoprimePair(3, 4)
+    ap = adapted_pair(pair)
+    form = graded_skew_form(pair, ap)
+    # an entry alone in its row and in its column, in a ranked block
+    column_counts = Counter(k for rows in form.blocks.values() for row in rows.values() for k in row)
+    (j0, k0) = next(
+        (j, k)
+        for lam, rows in sorted(form.blocks.items())
+        if 2 * lam >= form.scale
+        for j, row in rows.items()
+        for k in row
+        if len(row) == 1 and column_counts[k] == 1
+    )
+
+    def scale_entry(j, row):  # scaling a lone entry scales its row: rank unchanged
+        for a, b in ((j0, k0), (k0, j0)):
+            if j == a:
+                row[b] *= verify._PRIME
+
+    spy = RankSpy(monkeypatch)
+    mutated = mutated_form(monkeypatch, pair, ap, scale_entry)
+    modular = sum(
+        linalg.rank_mod_prime(rows.values(), verify._PRIME) for rows in mutated.blocks.values()
+    )
+    assert modular < form.dim - 1
+    assert spy.calls == len(mutated.blocks)
+    assert eta_regularity(pair, ap, form=mutated)["stabiliser_dim"] == 1
+
+
+def test_zeroed_row_drops_the_rank_through_the_fallback(monkeypatch):
+    pair = CoprimePair(3, 4)
+    ap = adapted_pair(pair)
+    form = graded_skew_form(pair, ap)
+    sizes = Counter(form.weights)
+    # a row in a pair of square blocks of full rank: the kernel of S misses it
+    j0 = next(
+        j
+        for lam, rows in sorted(form.blocks.items())
+        if sizes[lam] == sizes[form.scale - lam] == form.ranks[lam] and 2 * lam != form.scale
+        for j in rows
+    )
+
+    def zero_row_and_column(j, row):
+        if j == j0:
+            row.clear()
+        row.pop(j0, None)
+
+    spy = RankSpy(monkeypatch)
+    mutated = mutated_form(monkeypatch, pair, ap, zero_row_and_column)
+    assert spy.calls == len(mutated.blocks)
+    assert eta_regularity(pair, ap, form=mutated)["stabiliser_dim"] == 3
+
+
+def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
+    pair = CoprimePair(2, 3)
+    ap = adapted_pair(pair)
+    form = graded_skew_form(pair, ap)
+    j0, row0 = next(iter(form.blocks[max(form.blocks)].items()))
+    k0 = next(iter(row0))
+
+    def tamper(j, row):  # S_jk + 1 stays in its block, but S_kj = -S_jk breaks
+        if j == j0:
+            row[k0] += 1
+
+    with pytest.raises(ValueError, match="do not alternate") as info:
+        mutated_form(monkeypatch, pair, ap, tamper)
+    # the first entry checked may be either of the two
+    assert str(info.value) in {
+        "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (a, b, b, a)
+        for a, b in ((j0, k0), (k0, j0))
+    }
+
+
+def test_graded_form_scales_rational_weights():
+    pair = CoprimePair(2, 3)
+    ap = adapted_pair(pair)
+    form = graded_skew_form(pair, ap)
+    assert form.scale == 1 and all(isinstance(w, int) for w in form.weights)
+    # h + 1/2 has the same ad h weights, over the common denominator 2
+    half = graded_skew_form(pair, replace(ap, h=tuple(x + Fraction(1, 2) for x in ap.h)))
+    assert half.scale == 2
+    assert half.weights == tuple(2 * w for w in form.weights)
+    assert half.blocks == {2 * lam: rows for lam, rows in form.blocks.items()}
+    assert half.ranks == {2 * lam: r for lam, r in form.ranks.items()}
+    tampered_h = (ap.h[0] + Fraction(1, 2),) + ap.h[1:]
+    with pytest.raises(ValueError, match=r"/2 \+ .*, not 1|\+ .*/2, not 1"):
+        graded_skew_form(pair, replace(ap, h=tampered_h))
+
+
 def test_graded_form_rejects_entries_off_their_block():
     pair = CoprimePair(2, 3)
     ap = adapted_pair(pair)
@@ -252,14 +411,20 @@ def test_graded_form_rejects_entries_off_their_block():
         graded_skew_form(pair, replace(ap, eta_support=ap.eta_support + (ap.alpha,)))
 
 
-def test_complement_check():
+def test_complement_check(monkeypatch):
+    spy = RankSpy(monkeypatch)
     for pq in [(1, 2), (2, 3)]:
         pair = CoprimePair(*pq)
         ap = adapted_pair(pair)
-        assert complement_check(pair, ap)
+        form = graded_skew_form(pair, ap)
+        before = spy.calls
+        assert complement_check(pair, ap, form=form)
+        assert spy.calls == before  # a modular gain is exact
         # any eta-support root lies in the coadjoint image: rank cannot close
         for beta in ap.eta_support:
-            assert not complement_check(pair, ap, top_root=beta)
+            assert not complement_check(pair, ap, top_root=beta, form=form)
+        # a modular rank can miss, so each False is confirmed with Bareiss
+        assert spy.calls == before + len(ap.eta_support)
 
 
 # --- completed element ----------------------------------------------------
