@@ -30,7 +30,8 @@ sc = construct(pair)
 print("changed indices:", sc.changed)
 print("chain order c =", sc.order)
 for i, entry in sorted(sc.ledger.entries.items()):
-    print(f"  change at beta_{i}: {entry.case}, added {entry.added}")
+    a, b = entry.added  # the root e_a - e_b
+    print(f"  change at beta_{i}: {entry.case}, added e{a}-e{b}")
 
 print()
 print(ascii_diagram(sc))

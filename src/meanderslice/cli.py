@@ -26,6 +26,7 @@ from .meander import (
     traversal,
     turning_data,
 )
+from .rootlab import dense
 from .slicebuild import ConstructionFailed, construct, triangularity_order
 from .verify import adapted_pair, full_report
 
@@ -103,9 +104,11 @@ def _meander_payload(pair):
 
 
 def _construct_payload(pair):
+    """The construct report; roots turn dense here, at the JSON boundary."""
     sc = construct(pair)
     ap = adapted_pair(pair)
     ledger = sc.ledger
+    n = pair.n
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "construct",
@@ -113,8 +116,8 @@ def _construct_payload(pair):
         "q": pair.q,
         "n": pair.n,
         "signature": sc.sig.as_string(),
-        "pi_star": [list(r) for r in sc.pi_star],
-        "pi_final": [list(r) for r in sc.pi_final],
+        "pi_star": [dense(r, n) for r in sc.pi_star],
+        "pi_final": [dense(r, n) for r in sc.pi_final],
         "order": list(sc.order),
         "weyl_perm": list(sc.order),
         "used_exceptional_fix": sc.used_exceptional_fix,
@@ -128,7 +131,7 @@ def _construct_payload(pair):
                     "index": e.index,
                     "span": list(e.span),
                     "case": e.case,
-                    "added": list(e.added),
+                    "added": dense(e.added, n),
                 }
                 for _, e in sorted(ledger.entries.items())
             ],
@@ -138,7 +141,7 @@ def _construct_payload(pair):
                 "disposition": ledger.undecided[1],
             },
             "fix": [
-                {"index": i, "value": list(v)} for i, v in sorted(ledger.fix_entries.items())
+                {"index": i, "value": dense(v, n)} for i, v in sorted(ledger.fix_entries.items())
             ],
         },
     }

@@ -8,15 +8,11 @@ functions of the construction, so output is byte-deterministic.
 
 from __future__ import annotations
 
-from . import rootlab
-from .meander import beta_sequence
-
 
 def ascii_diagram(sc):
     td = sc.turning
     tr = sc.traversal
     n = td.pair.n
-    betas = beta_sequence(tr)
     changed = set(sc.changed)
     posmap = dict(zip(td.positions, range(len(td.positions))))
     lines = [
@@ -30,7 +26,7 @@ def ascii_diagram(sc):
             tag = "  %s[%d]" % (td.tags[k], td.labels[k])
         lines.append("%3d: o %-3d%s" % (i, tr.phi[i - 1], tag))
         if i < n:
-            a, b = rootlab.elementary_support(betas[i - 1])
+            a, b = td.betas[i - 1]
             link = "( )" if td.nil[i - 1] else (" # " if i in changed else " | ")
             marks = []
             if td.nil[i - 1]:
@@ -83,8 +79,7 @@ def svg_diagram(sc):
             )
     # thick links for the modified chain, drawn as arcs between the orbit
     # positions of the two values of each root
-    for idx, r in enumerate(sc.pi_final, start=1):
-        a, b = rootlab.elementary_support(r)
+    for idx, (a, b) in enumerate(sc.pi_final, start=1):
         ya, yb = y(pos_of_value[a]), y(pos_of_value[b])
         bend = 24 + 6 * (idx % 4)
         parts.append(

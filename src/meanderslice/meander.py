@@ -99,10 +99,8 @@ def traversal(pair):
 
 def beta_sequence(tr):
     """The chain beta_i = e_{phi(i)} - e_{phi(i+1)}, a simple root system."""
-    n = tr.pair.n
-    return tuple(
-        rootlab.eps_diff(tr.phi[i], tr.phi[i + 1], n) for i in range(n - 1)
-    )
+    phi = tr.phi
+    return tuple(zip(phi, phi[1:]))
 
 
 def turning_set_closed_form(pair):
@@ -130,6 +128,7 @@ def turning_set_sign_flip(pair):
 class TurningData:
     pair: CoprimePair
     traversal: Traversal
+    betas: tuple  # the chain beta_1..beta_{n-1} of the traversal
     positions: tuple  # strictly increasing positions t with phi(t) turning
     tags: tuple  # "A" or "B" per position
     labels: tuple  # consecutive ints; odd labels are the A side
@@ -209,6 +208,7 @@ def turning_data(tr):
     return TurningData(
         pair=pair,
         traversal=tr,
+        betas=betas,
         positions=positions,
         tags=tags,
         labels=labels,

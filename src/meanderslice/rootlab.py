@@ -1,14 +1,15 @@
-"""Exact arithmetic for the type A root lattice of sl(n).
+"""Exact arithmetic for the roots of sl(n), type A.
 
-A root (or any weight-lattice vector) is a tuple of n integers summing to
-zero, giving its coefficients over the orthonormal basis e_1..e_n.  The
-simple roots are a_i = e_i - e_{i+1}.  All indices in the public interface
-are 1-based.
+Every root of sl(n) is e_a - e_b for some a != b in 1..n, and is stored as
+the pair (a, b) of its endpoints, so each operation here costs O(1) whatever
+n is.  A sum or difference that is not a root is None.  The simple roots
+are a_i = (i, i + 1).  All indices in the public interface are 1-based.
+
+Dense coordinate tuples over e_1..e_n appear only at the report boundary,
+through `dense`.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 
 class RootError(ValueError):
@@ -28,77 +29,61 @@ class PathSystemError(ValueError):
 
 
 def eps_diff(a, b, n):
-    """The vector e_a - e_b as a length-n coordinate tuple."""
+    """The root e_a - e_b of sl(n), checked against 1..n."""
     if a == b:
         raise RootError("zero vector is not a root: a == b == %d" % a)
     if not (1 <= a <= n and 1 <= b <= n):
         raise RootError("indices (%d,%d) out of range 1..%d" % (a, b, n))
-    coords = [0] * n
-    coords[a - 1] = 1
-    coords[b - 1] = -1
-    return tuple(coords)
-
-
-def is_elementary(r):
-    """True iff r = e_a - e_b for some a != b."""
-    plus = sum(1 for c in r if c == 1)
-    minus = sum(1 for c in r if c == -1)
-    zero = sum(1 for c in r if c == 0)
-    return plus == 1 and minus == 1 and plus + minus + zero == len(r)
-
-
-def elementary_support(r):
-    """Return (a, b) with r = e_a - e_b, 1-based."""
-    if not is_elementary(r):
-        raise RootError("not an elementary root: %r" % (r,))
-    a = r.index(1) + 1
-    b = r.index(-1) + 1
     return a, b
 
 
-def add(r, s):
-    return tuple(x + y for x, y in zip(r, s, strict=True))
+def is_root(r, n):
+    """True iff r is a root (a, b) of sl(n): a != b, both in 1..n."""
+    return r is not None and r[0] != r[1] and 1 <= r[0] <= n and 1 <= r[1] <= n
 
 
-def sub(r, s):
-    return tuple(x - y for x, y in zip(r, s, strict=True))
-
-
-def neg(r):
-    return tuple(-x for x in r)
-
-
-def scale(k, r):
-    return tuple(k * x for x in r)
-
-
-def dot(r, s):
-    return sum(x * y for x, y in zip(r, s, strict=True))
-
-
-def to_simple_coords(r):
-    """Coefficients over the simple roots a_1..a_{n-1} (prefix sums)."""
-    if sum(r) != 0:
-        raise RootError("not in the root lattice: %r" % (r,))
-    return tuple(accumulate(r[:-1]))
-
-
-def from_simple_coords(k):
-    """Inverse of to_simple_coords; k has length n-1."""
-    prev = 0
-    coords = []
-    for cur in k:
-        coords.append(cur - prev)
-        prev = cur
-    coords.append(-prev)
+def dense(r, n):
+    """The root r as its n coordinates over e_1..e_n, for reports only."""
+    coords = [0] * n
+    coords[r[0] - 1] = 1
+    coords[r[1] - 1] = -1
     return tuple(coords)
 
 
+def neg(r):
+    return r[1], r[0]
+
+
+def scale(k, r):
+    """k r for k = +-1; any other multiple of a root is not a root."""
+    if k == 1:
+        return r
+    if k == -1:
+        return r[1], r[0]
+    raise RootError("%d times a root is not a root" % k)
+
+
+def add(r, s):
+    """r + s when it is a root, otherwise None: (a, b) + (b, d) = (a, d)."""
+    (a, b), (c, d) = r, s
+    if b == c and a != d:
+        return a, d
+    if d == a and c != b:
+        return c, b
+    return None
+
+
+def sub(r, s):
+    """r - s when it is a root, otherwise None."""
+    return add(r, (s[1], s[0]))
+
+
 def alpha_p_coefficient(r, p):
-    """Coefficient of a_p when r is written over the simple roots."""
-    if not 1 <= p <= len(r) - 1:
-        raise RootError("no simple root a_%d in rank %d" % (p, len(r) - 1))
-    return sum(r[:p])
+    """Coefficient of a_p when r is written over the simple roots: the
+    endpoint a of e_a - e_b counts +1 and b counts -1 when at most p."""
+    if p < 1:
+        raise RootError("no simple root a_%d" % p)
+    return (r[0] <= p) - (r[1] <= p)
 
 
 def kostant_cascade(n):
@@ -111,7 +96,7 @@ def kostant_cascade(n):
 
 def levi_cascade(p, q):
     """Negated cascades of the two diagonal blocks sl(p) x sl(q) inside
-    sl(p+q), expressed in the ambient n coordinates."""
+    sl(p+q), expressed in the ambient indices."""
     n = p + q
     out = set()
     for i in range(1, p // 2 + 1):
@@ -121,30 +106,28 @@ def levi_cascade(p, q):
     return frozenset(out)
 
 
-def validate_path_system(roots):
-    """Check that `roots` lists the edges of a directed Hamiltonian path.
+def validate_path_system(roots, n):
+    """Check that `roots` lists the edges of a directed Hamiltonian path
+    on 1..n.
 
     Each root e_a - e_b is read as an edge a -> b.  On success returns the
     path order c_1..c_n (so roots, reordered, are e_{c_i} - e_{c_{i+1}};
     the input order itself is not required to follow the path).
     """
     m = len(roots)
-    if m == 0:
-        raise PathSystemError("count", "empty root list")
-    n = len(roots[0])
-    if m != n - 1:
+    if m != n - 1 or m == 0:
         raise PathSystemError("count", "expected %d roots, got %d" % (n - 1, m))
     succ = {}
     pred = {}
     for r in roots:
-        if len(r) != n or not is_elementary(r):
-            raise PathSystemError("non-elementary", "not elementary: %r" % (r,))
-        a, b = elementary_support(r)
+        if not is_root(r, n):
+            raise PathSystemError("non-elementary", "not a root of sl(%d): %r" % (n, r))
+        a, b = r
         if a in succ or b in pred:
             raise PathSystemError("branching", "vertex with degree > 1 at edge %d->%d" % (a, b))
         succ[a] = b
         pred[b] = a
-    starts = [v for v in range(1, n + 1) if v not in pred and v in succ]
+    starts = [v for v in succ if v not in pred]
     if not starts:
         raise PathSystemError("cycle", "no start vertex: edges form a cycle")
     if len(starts) > 1:
@@ -157,25 +140,29 @@ def validate_path_system(roots):
     return tuple(c)
 
 
-def positive_wrt(r, order):
-    """True iff the elementary root r is positive for the path system with
-    vertex order `order` (the +1 vertex comes before the -1 vertex)."""
-    a, b = elementary_support(r)
-    pos = {v: i for i, v in enumerate(order)}
-    return pos[a] < pos[b]
+def path_positions(order):
+    """Vertex -> 1-based position along the path `order`: the position
+    map of `positive_wrt` and `expand_in_path_system`."""
+    return {v: i for i, v in enumerate(order, 1)}
 
 
-def expand_in_path_system(r, order):
-    """Coefficients of r over the path-system roots e_{c_i} - e_{c_{i+1}};
-    RootError when r is not a lattice root or `order` misses a coordinate."""
-    if sum(r) != 0:
-        raise RootError("not in the root lattice: %r" % (r,))
-    # partial sums along the path invert the edge basis
-    coeffs = []
-    run = 0
-    for v in order[:-1]:
-        run += r[v - 1]
-        coeffs.append(run)
-    if run + r[order[-1] - 1] != 0:
-        raise RootError("the order %r does not cover the support of %r" % (order, r))
-    return tuple(coeffs)
+def positive_wrt(r, pos):
+    """True iff the root r is positive for the path system with position
+    map `pos` (the +1 vertex comes before the -1 vertex)."""
+    return pos[r[0]] < pos[r[1]]
+
+
+def expand_in_path_system(r, pos):
+    """Coefficients {i: +-1} of r over the path-system roots
+    e_{c_i} - e_{c_{i+1}}, with `pos` the position map of the path c: r is
+    plus or minus the sum of the roots strictly between its endpoints.
+    RootError when r is not a root or `pos` misses an endpoint."""
+    if r is None:
+        raise RootError("not a root")
+    try:
+        i, j = pos[r[0]], pos[r[1]]
+    except KeyError:
+        raise RootError("the path does not cover the support of %r" % (r,)) from None
+    if i < j:
+        return dict.fromkeys(range(i, j), 1)
+    return dict.fromkeys(range(j, i), -1)

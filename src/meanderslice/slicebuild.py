@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rootlab
-from .meander import beta_sequence, signature, traversal, turning_data
+from .meander import signature, traversal, turning_data
 
 
 class ConstructionFailed(RuntimeError):
@@ -30,7 +30,7 @@ class ConstructionRuleError(ConstructionFailed):
 class IntervalValue:
     s: int  # smaller turning position
     t: int  # larger turning position
-    value: tuple  # e_{phi(s)} - e_{phi(t)}
+    value: tuple  # the root e_{phi(s)} - e_{phi(t)}
     simple: bool  # consecutive turning points
     sign: int  # +1 iff phi(s) is on the A side
 
@@ -54,7 +54,7 @@ class ChangeEntry:
     index: int  # the changed value beta_index
     span: tuple  # (s, t) turning positions of the added interval value
     case: str  # adjacent | compound | compound-short | isolated-swap | tail
-    added: tuple  # the added root vector
+    added: tuple  # the added root
 
 
 @dataclass
@@ -85,7 +85,7 @@ def build_pi_star(td, sig):
     p, n = td.pair.p, td.pair.n
     pos = td.positions
     pos_of = dict(zip(td.labels, pos))
-    betas = beta_sequence(td.traversal)
+    betas = td.betas
     J = len(sig.full)
     runs = sig.changes
     r = len(runs)
@@ -255,10 +255,9 @@ def build_pi_star(td, sig):
         span, case = instructions[idx]
         iv = interval_value(td, *span)
         newv = rootlab.add(betas[idx - 1], iv.value)
-        signed = rootlab.scale(td.eps[idx - 1], newv)
-        if not rootlab.is_elementary(signed):
+        if newv is None:
             raise ConstructionRuleError("changed beta_%d is not elementary" % idx)
-        if rootlab.alpha_p_coefficient(signed, p) != -1:
+        if rootlab.alpha_p_coefficient(rootlab.scale(td.eps[idx - 1], newv), p) != -1:
             raise ConstructionRuleError("changed beta_%d misses coefficient -1" % idx)
         beta_prime[idx - 1] = newv
         entries[idx] = ChangeEntry(index=idx, span=span, case=case, added=iv.value)
@@ -280,13 +279,11 @@ def check_conditions(td, beta_now):
     value except the exceptional one stays positive for the new path.
     """
     p, n = td.pair.p, td.pair.n
-    betas = beta_sequence(td.traversal)
-    beta_star = tuple(
-        rootlab.scale(td.eps[i], beta_now[i]) for i in range(n - 1)
-    )
+    betas, eps = td.betas, td.eps
+    beta_star = tuple(rootlab.scale(eps[i], beta_now[i]) for i in range(n - 1))
     res = {"witness": None}
     try:
-        order = rootlab.validate_path_system(beta_star)
+        order = rootlab.validate_path_system(beta_star, n)
         res["a"] = True
     except rootlab.PathSystemError as ex:
         order = None
@@ -297,7 +294,7 @@ def check_conditions(td, beta_now):
     res["b"] = True
     for i in changed:
         bs = beta_star[i - 1]
-        if not rootlab.is_elementary(bs) or rootlab.alpha_p_coefficient(bs, p) != -1:
+        if not rootlab.is_root(bs, n) or rootlab.alpha_p_coefficient(bs, p) != -1:
             res["b"] = False
             res["witness"] = res["witness"] or "coefficient at beta_%d" % i
             break
@@ -308,8 +305,8 @@ def check_conditions(td, beta_now):
         res["d"] = False
         res["d_all"] = False
     else:
-        old_star = [rootlab.scale(td.eps[i], betas[i]) for i in range(n - 1)]
-        pos_ok = [rootlab.positive_wrt(v, order) for v in old_star]
+        pos = rootlab.path_positions(order)
+        pos_ok = [rootlab.positive_wrt(rootlab.scale(eps[i], betas[i]), pos) for i in range(n - 1)]
         res["d"] = all(ok for i, ok in enumerate(pos_ok, start=1) if i != td.e)
         res["d_all"] = all(pos_ok)
         if not res["d"]:
@@ -320,6 +317,15 @@ def check_conditions(td, beta_now):
     return res
 
 
+def _reanchor(values, betas, i, e):
+    """values[i] - beta_e, the value i re-anchored off the exceptional
+    value; ConstructionRuleError when that is not a root."""
+    r = rootlab.sub(values[i - 1], betas[e - 1])
+    if r is None:
+        raise ConstructionRuleError("re-anchored beta_%d is not a root" % i)
+    return r
+
+
 def exceptional_fix(td, ledger):
     """Repair step when the exceptional value was left unchanged.
 
@@ -327,7 +333,7 @@ def exceptional_fix(td, ledger):
     repaired list.
     """
     e, n = td.e, td.pair.n
-    betas = beta_sequence(td.traversal)
+    betas = td.betas
     posset = set(td.positions)
     anchors = [t for t in (e, e + 1) if t in posset]
     if len(anchors) != 1:
@@ -349,7 +355,7 @@ def exceptional_fix(td, ledger):
         if 2 <= s <= n - 1:
             second = s if nil_idx == s - 1 else s - 1
         if in_support and second is not None:
-            fixes[second] = rootlab.sub(bp[second - 1], betas[e - 1])
+            fixes[second] = _reanchor(bp, betas, second, e)
         fixes[e] = rootlab.neg(iv)
     else:
         f = t0 - 1 if t0 - 1 != e else t0
@@ -361,13 +367,13 @@ def exceptional_fix(td, ledger):
         cands = [
             i
             for i in ledger.entries
-            if i != f and rootlab.is_elementary(rootlab.sub(bp[i - 1], betas[e - 1]))
+            if i != f and rootlab.sub(bp[i - 1], betas[e - 1]) is not None
         ]
         if len(cands) > 1:
             raise ConstructionRuleError("ambiguous re-anchoring of the exceptional value")
         if cands:
             i0 = cands[0]
-            fixes[i0] = rootlab.sub(bp[i0 - 1], betas[e - 1])
+            fixes[i0] = _reanchor(bp, betas, i0, e)
     beta_final = list(bp)
     for i, v in fixes.items():
         beta_final[i - 1] = v
@@ -447,7 +453,8 @@ def triangularity_order(sc):
     Unchanged values come first, then simple-interval changes, then
     compound changes, ties broken by index.  Verified on the pre-repair
     values: each signed changed value must expand over the original signed
-    chain (a prefix sum along the path phi, times eps) with unit diagonal
+    chain (the chain values between its endpoints along phi, times eps,
+    read off the interval of their positions) with unit diagonal
     and support only on earlier values.  Raises ConstructionRuleError when
     the expansion breaks the pattern.
     """
@@ -455,6 +462,7 @@ def triangularity_order(sc):
 
     td = sc.turning
     n = td.pair.n
+    where = rootlab.path_positions(td.traversal.phi)
     levels = {i: 0 for i in range(1, n)}
     for idx, entry in sc.ledger.entries.items():
         s, t = entry.span
@@ -463,8 +471,8 @@ def triangularity_order(sc):
         levels[idx] = 3 if compound else 2
     expansion = {}
     for i in range(1, n):
-        coeffs = rootlab.expand_in_path_system(sc.pi_star[i - 1], td.traversal.phi)
-        row = {j: c * td.eps[j - 1] for j, c in enumerate(coeffs, 1) if c}
+        coeffs = rootlab.expand_in_path_system(sc.pi_star[i - 1], where)
+        row = {j: c * td.eps[j - 1] for j, c in coeffs.items()}
         if row.get(i) != 1:
             raise ConstructionRuleError("diagonal is not 1 at beta_%d" % i)
         expansion[i] = row

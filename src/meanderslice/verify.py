@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, rootlab
-from .meander import beta_sequence
 from .slicebuild import construct
 
 # small primes for the modular ranks of the dense oracle `certified_rank`
@@ -31,9 +30,10 @@ class AdaptedPair:
 
 
 def h_eigenvalue(h, r):
-    """Eigenvalue of ad(diag h) on x_r.  Roots are sparse, so only the
-    non-zero coordinates of r are multiplied out."""
-    return sum(x * c for x, c in zip(h, r, strict=True) if c)
+    """Eigenvalue of ad(diag h) on x_r for the root r = e_a - e_b: the
+    difference h_a - h_b of two entries."""
+    a, b = r
+    return h[a - 1] - h[b - 1]
 
 
 class AdaptedPairError(ValueError):
@@ -56,8 +56,7 @@ def _solve_h_on_paths(support, p, q):
     """
     n = p + q
     adjacent = [[] for _ in range(n + 1)]
-    for r in support:
-        a, b = rootlab.elementary_support(r)
+    for a, b in support:
         adjacent[a].append((b, 1))
         adjacent[b].append((a, -1))
     component = [None] * (n + 1)
@@ -119,7 +118,7 @@ def adapted_pair(pair):
     union = rootlab.kostant_cascade(n) | rootlab.levi_cascade(p, q)
     if len(union) != n - 1:
         raise AdaptedPairError("the union has %d roots, expected %d" % (len(union), n - 1))
-    alphas = [r for r in union if abs(r.index(1) - r.index(-1)) == 1]
+    alphas = [r for r in union if abs(r[0] - r[1]) == 1]
     if len(alphas) != 1:
         raise AdaptedPairError(
             "the union must contain exactly one +- simple root, found %d" % len(alphas)
@@ -163,8 +162,7 @@ def parabolic_basis(pair):
 def _sparse_from_roots(roots):
     out = {}
     for r in roots:
-        a, b = rootlab.elementary_support(r)
-        out[(a, b)] = out.get((a, b), 0) + 1
+        out[r] = out.get(r, 0) + 1
     return out
 
 
@@ -264,8 +262,7 @@ def _eta_index(support):
     of the entries (a, b) in row a, and the rows a of those in column b.
     On the two paths of the support each list has at most two entries."""
     by_row, by_col = {}, {}
-    for r in support:
-        a, b = rootlab.elementary_support(r)
+    for a, b in support:
         by_row.setdefault(a, []).append(b)
         by_col.setdefault(b, []).append(a)
     return by_row, by_col
@@ -399,7 +396,7 @@ def complement_check(pair, ap=None, top_root=None, form=None):
     """
     ap = ap or adapted_pair(pair)
     form = form or graded_skew_form(pair, ap)
-    a, b = rootlab.elementary_support(top_root if top_root is not None else ap.alpha)
+    a, b = top_root if top_root is not None else ap.alpha
     rank = form.rank
     k = form.position.get((b, a))
     if k is not None:
@@ -416,14 +413,13 @@ def completed_element(sc):
     changed non-exceptional index, the original signed value.  Each added
     root must be positive and non-simple for the new path order."""
     td = sc.turning
-    betas = beta_sequence(td.traversal)
     support = list(sc.pi_final)
-    pos = {v: i for i, v in enumerate(sc.order)}
+    pos = rootlab.path_positions(sc.order)
     for i in sc.changed:
         if i == td.e:
             continue
-        r = rootlab.scale(td.eps[i - 1], betas[i - 1])
-        a, b = rootlab.elementary_support(r)
+        r = rootlab.scale(td.eps[i - 1], td.betas[i - 1])
+        a, b = r
         if not pos[a] < pos[b]:
             raise ValueError("added root at beta_%d is not positive for the path" % i)
         if pos[b] - pos[a] < 2:
@@ -439,14 +435,13 @@ def path_order_regular(support, order):
     and every path edge e_{c_i} - e_{c_{i+1}} is in the support.  The
     matrix is then strictly upper triangular in c with a non-zero
     superdiagonal, so its (n-1)-th power is non-zero: it is regular."""
-    pos = {v: i for i, v in enumerate(order)}
+    pos = rootlab.path_positions(order)
     edges = set()
-    for r in support:
-        a, b = rootlab.elementary_support(r)
+    for a, b in support:
         if pos[a] >= pos[b]:
             return False
         edges.add((pos[a], pos[b]))
-    return all((i, i + 1) in edges for i in range(len(order) - 1))
+    return all((i, i + 1) in edges for i in range(1, len(order)))
 
 
 def check_regular_nilpotent(mat):
@@ -494,8 +489,7 @@ def weyl_permutation(sc):
         jordan[i][i + 1] = 1
     lhs = linalg.mat_mul(linalg.mat_mul(perm, jordan), linalg.transpose(perm))
     yprime = linalg.zeros(n, n)
-    for r in sc.pi_final:
-        a, b = rootlab.elementary_support(r)
+    for a, b in sc.pi_final:
         yprime[a - 1][b - 1] = 1
     if lhs != yprime:
         raise ValueError("path order does not conjugate the Jordan chain to y'")
@@ -505,13 +499,25 @@ def weyl_permutation(sc):
 def full_report(pair, with_stabiliser=True):
     """One pair end to end: construction, adapted pair, regularity of eta
     and of the completed element, restriction and complement checks.  The
-    path order, certified during construction, is the Weyl permutation."""
+    path order, certified during construction, is the Weyl permutation.
+
+    The report is the boundary where roots turn dense: each root field
+    holds n-tuples over e_1..e_n, and the sorted ones are sorted as such."""
     sc = construct(pair)
     ap = adapted_pair(pair)
     support = completed_element(sc)
     modified = set(sc.pi_final)
     regular = path_order_regular(support, sc.order)
     restrict = check_restriction(support, ap)
+    # every root field draws on the support of y'' and on pi_star
+    coords = {r: rootlab.dense(r, pair.n) for r in (*support, *sc.pi_star)}
+
+    def dense(roots):
+        return tuple(coords[r] for r in roots)
+
+    def dense_sorted(roots):
+        return tuple(sorted(dense(roots)))
+
     eigen_ok = all(
         h_eigenvalue(ap.h, r) == Fraction(-1) for r in ap.eta_support
     ) and all(h_eigenvalue(ap.h, r).denominator == 1 for r in support)
@@ -522,12 +528,16 @@ def full_report(pair, with_stabiliser=True):
         "construction_mode": sc.construction_mode,
         "used_exceptional_fix": sc.used_exceptional_fix,
         "order": sc.order,
-        "pi_star": sc.pi_star,
-        "pi_final": sc.pi_final,
-        "support_y2": support,
-        "added_roots": tuple(r for r in support if r not in modified),
+        "pi_star": dense(sc.pi_star),
+        "pi_final": dense(sc.pi_final),
+        "support_y2": dense_sorted(support),
+        "added_roots": dense_sorted(r for r in support if r not in modified),
         "regular_nilpotent": regular,
-        "restriction": restrict,
+        "restriction": dict(
+            restrict,
+            zero_one=dense_sorted(restrict["zero_one"]),
+            minus=dense_sorted(restrict["minus"]),
+        ),
         "h": ap.h,
         "m": ap.m,
         "eta_eigenvalues_ok": eigen_ok,

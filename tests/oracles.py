@@ -5,12 +5,16 @@ and certifies each one; it is exponential in p and meant for n <= 12,
 where it cross-checks the rule engine of `slicebuild.construct`.
 `support_matrix` turns a support of roots back into the dense 0/1 matrix
 for the dense rank oracles.
+
+The library stores a root e_a - e_b as the pair (a, b).  `dense` writes it
+out as n coordinates over e_1..e_n, and the dense helpers below do the
+arithmetic the pairs replace, coordinate by coordinate, so the tests can
+compare the two.
 """
 
-from itertools import product
+from itertools import accumulate, product
 
 from meanderslice import linalg, rootlab
-from meanderslice.meander import beta_sequence
 from meanderslice.slicebuild import (
     ChangeEntry,
     ChangeLedger,
@@ -30,7 +34,7 @@ def _change_options(td, t):
     coefficient -1.  Sorted for deterministic enumeration.
     """
     p = td.pair.p
-    betas = beta_sequence(td.traversal)
+    betas = td.betas
     ti = td.positions.index(t)
     opts = []
     for idx in (t - 1, t):
@@ -43,8 +47,9 @@ def _change_options(td, t):
         for span in spans:
             iv = interval_value(td, *span)
             newv = rootlab.add(betas[idx - 1], iv.value)
-            signed = rootlab.scale(td.eps[idx - 1], newv)
-            if rootlab.is_elementary(signed) and rootlab.alpha_p_coefficient(signed, p) == -1:
+            if newv is None:
+                continue
+            if rootlab.alpha_p_coefficient(rootlab.scale(td.eps[idx - 1], newv), p) == -1:
                 opts.append((idx, span))
     opts.sort()
     return opts
@@ -55,7 +60,7 @@ def exhaustive_solutions(td):
     turning point, with the repair step applied when only condition (c)
     fails.  Returns a list of ChangeLedger objects, each with
     `beta_final` set, in deterministic order."""
-    betas = beta_sequence(td.traversal)
+    betas = td.betas
     internal = list(td.positions[1:-1])
     options = [_change_options(td, t) for t in internal]
     out = []
@@ -96,7 +101,59 @@ def support_matrix(support, n):
     """The n x n integer matrix with a 1 at (a, b) for every root
     e_a - e_b of `support`."""
     m = linalg.zeros(n, n)
-    for r in support:
-        a, b = rootlab.elementary_support(r)
+    for a, b in support:
         m[a - 1][b - 1] += 1
     return m
+
+
+# ------------------------------------------------------- dense roots
+
+
+def dense(r, n):
+    """The root (a, b) as the coordinate tuple of e_a - e_b over e_1..e_n."""
+    a, b = r
+    return tuple((i == a) - (i == b) for i in range(1, n + 1))
+
+
+def dense_root(x):
+    """(a, b) when the coordinate tuple x is e_a - e_b, otherwise None."""
+    x = tuple(x)
+    if sorted(x) != [-1] + [0] * (len(x) - 2) + [1]:
+        return None
+    return x.index(1) + 1, x.index(-1) + 1
+
+
+def dense_add(x, y):
+    return tuple(u + v for u, v in zip(x, y, strict=True))
+
+
+def dense_scale(k, x):
+    return tuple(k * u for u in x)
+
+
+def dot(x, y):
+    return sum(u * v for u, v in zip(x, y, strict=True))
+
+
+def to_simple_coords(x):
+    """Coefficients over the simple roots a_1..a_{n-1} (prefix sums)."""
+    if sum(x) != 0:
+        raise ValueError("not in the root lattice: %r" % (x,))
+    return tuple(accumulate(x[:-1]))
+
+
+def from_simple_coords(k):
+    """Inverse of to_simple_coords; k has length n-1."""
+    prev = 0
+    coords = []
+    for cur in k:
+        coords.append(cur - prev)
+        prev = cur
+    coords.append(-prev)
+    return tuple(coords)
+
+
+def dense_expansion(x, order):
+    """Coefficients of x over the path roots e_{c_i} - e_{c_{i+1}}: the
+    partial sums of x along the path."""
+    return tuple(accumulate(x[v - 1] for v in order[:-1]))

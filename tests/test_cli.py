@@ -176,6 +176,15 @@ def test_sigmap_json():
         assert len(ps) > 1
 
 
+def test_sigmap_bytes_pinned(capsysbinary):
+    from meanderslice import cli
+
+    assert cli.main(["sigmap", "--max-n", "80", "--format", "json"]) == 0
+    out = capsysbinary.readouterr().out
+    # the v1 atlas bytes of every pair with n <= 80
+    assert hashlib.md5(out).hexdigest() == "ab052b457f001d45ded3001274c58c03"
+
+
 def test_sigmap_csv_has_fiber_section():
     text = run_cli("sigmap", "--max-n", "8", "--format", "csv").stdout.decode()
     assert text.startswith("p,q,n,signature,used_fix,mode,m\n")

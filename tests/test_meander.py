@@ -131,7 +131,7 @@ def test_beta_sequence_witnesses():
 def test_beta_sequence_is_path_in_phi_order():
     for pair in ALL_PAIRS:
         tr = traversal(pair)
-        assert rootlab.validate_path_system(beta_sequence(tr)) == tr.phi
+        assert rootlab.validate_path_system(beta_sequence(tr), pair.n) == tr.phi
 
 
 # --- turning points -------------------------------------------------------
@@ -205,8 +205,7 @@ def test_exceptional_value_shape():
     for pair in ALL_PAIRS:
         td = turning_data(traversal(pair))
         betas = beta_sequence(td.traversal)
-        r = betas[td.e - 1]
-        a, b = rootlab.elementary_support(r)
+        a, b = betas[td.e - 1]
         assert abs(a - b) == 1
         assert min(a, b) == td.m // 2
         assert td.m % 2 == 0 and td.m in (pair.p, 2 * pair.p + pair.q, pair.n)

@@ -12,7 +12,7 @@ from meanderslice.slicebuild import (
     interval_value,
     triangularity_order,
 )
-from oracles import exhaustive_solutions
+from oracles import dense, dense_add, dense_scale, exhaustive_solutions, to_simple_coords
 
 SWEEP = [construct(pair) for pair in coprime_pairs(20)]
 
@@ -47,16 +47,17 @@ def test_interval_value_properties():
     # nil index and p-th coefficient equal to the sign
     for sc in SWEEP:
         td = sc.turning
+        n = td.pair.n
         betas = beta_sequence(td.traversal)
         pos = td.positions
         for ai in range(len(pos)):
             for bi in range(ai + 1, len(pos)):
                 s, t = pos[ai], pos[bi]
                 iv = interval_value(td, s, t)
-                acc = (0,) * td.pair.n
+                acc = (0,) * n
                 for i in range(s, t):
-                    acc = rootlab.add(acc, betas[i - 1])
-                assert acc == iv.value
+                    acc = dense_add(acc, dense(betas[i - 1], n))
+                assert acc == dense(iv.value, n)
                 assert iv.simple == (bi == ai + 1)
                 assert iv.sign == (1 if td.tag_at(s) == "A" else -1)
                 if iv.simple:
@@ -143,7 +144,7 @@ def test_changed_values_have_coefficient_minus_one():
         betas = beta_sequence(td.traversal)
         for i in sc.changed:
             signed = sc.pi_final[i - 1]
-            assert rootlab.is_elementary(signed)
+            assert rootlab.is_root(signed, td.pair.n)
             if i != td.e or not sc.used_exceptional_fix:
                 assert rootlab.alpha_p_coefficient(signed, p) == -1
         # condition b applies to the fixed exceptional value too
@@ -182,7 +183,7 @@ def test_positivity_strong_form_and_fix_effect():
             assert pre["d_all"]
         else:
             old_e = rootlab.scale(td.eps[td.e - 1], betas[td.e - 1])
-            assert not rootlab.positive_wrt(old_e, sc.order)
+            assert not rootlab.positive_wrt(old_e, rootlab.path_positions(sc.order))
             assert sc.checks["d"] and not sc.checks["d_all"]
 
 
@@ -193,6 +194,24 @@ def test_fix_changes_at_most_three_entries():
             assert sc.turning.e in sc.ledger.fix_entries
 
 
+def test_rule_engine_rejects_a_sum_that_is_not_a_root(monkeypatch):
+    # beta_2 = e_2 - e_1 of (2, 3) plus e_3 - e_5 is not a root
+    real = slicebuild.interval_value
+
+    def off_chain(td, s, t):
+        return replace(real(td, s, t), value=rootlab.eps_diff(3, 5, 5))
+
+    monkeypatch.setattr(slicebuild, "interval_value", off_chain)
+    with pytest.raises(ConstructionRuleError, match=r"\(2,3\): changed beta_2 is not elementary"):
+        construct(CoprimePair(2, 3))
+
+
+def test_reanchoring_off_a_non_root_is_a_rule_error():
+    # e_1 - e_2 minus e_3 - e_4 is not a root
+    with pytest.raises(ConstructionRuleError, match="re-anchored beta_1 is not a root"):
+        slicebuild._reanchor(((1, 2),), ((3, 4),), 1, 1)
+
+
 # --- triangularity --------------------------------------------------------
 
 def expansion_matrix(sc):
@@ -201,11 +220,11 @@ def expansion_matrix(sc):
     td = sc.turning
     n = td.pair.n
     betas = beta_sequence(td.traversal)
-    basis = [rootlab.to_simple_coords(rootlab.scale(td.eps[i], betas[i])) for i in range(n - 1)]
+    basis = [to_simple_coords(dense_scale(td.eps[i], dense(betas[i], n))) for i in range(n - 1)]
     cols = [list(row) for row in zip(*basis)]
     rows = []
     for i in range(n - 1):
-        sol = linalg.solve_unique(cols, list(rootlab.to_simple_coords(sc.pi_star[i])))
+        sol = linalg.solve_unique(cols, list(to_simple_coords(dense(sc.pi_star[i], n))))
         rows.append([int(x) for x in sol])
     return rows
 

@@ -27,6 +27,7 @@ from meanderslice.verify import (
     skew_form_matrix,
     weyl_permutation,
 )
+from oracles import dense, dot
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -143,7 +144,7 @@ def dense_h_oracle(pair, support):
     """h from the full n x n system: h(beta) = -1 on the support plus the
     two block traces, solved by Gauss-Jordan elimination."""
     p, q = pair.p, pair.q
-    rows = [list(r) for r in support]
+    rows = [list(dense(r, pair.n)) for r in support]
     rows.append([1] * p + [0] * q)
     rows.append([0] * p + [1] * q)
     rhs = [-1] * len(support) + [0, 0]
@@ -158,7 +159,7 @@ def test_adapted_pair_against_dense_solve():
         assert len(ap.h) == len(want) == pair.n
         for got, exp in zip(ap.h, want):
             assert isinstance(got, Fraction) and got == exp
-        assert ap.m == rootlab.dot(want, ap.alpha)
+        assert ap.m == dot(want, dense(ap.alpha, pair.n))
 
 
 def test_path_solve_rejects_degenerate_support():
@@ -229,7 +230,7 @@ def test_stabiliser_checks_accept_a_shared_form():
 def dense_complement_oracle(s, basis, root):
     """complement_check on the dense form: append the functional row of
     x_root and rank with the modular oracle."""
-    top = {rootlab.elementary_support(root): 1}
+    top = {root: 1}
     extra = [verify._sparse_trace_product(top, b) for b in basis]
     return verify.certified_rank(s + [extra], len(basis)) == len(basis)
 
