@@ -191,6 +191,28 @@ def test_sigmap_csv_has_fiber_section():
     assert "signature,count,pairs" in text
 
 
+
+# --- text and csv bytes ---------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "--max-n", "12", "--format", "text"], "2e270afa10a6fc34ad575d53d672ba4a"),
+        (["verify", "--max-n", "12", "--format", "csv"], "f3bff9fc065b66509cd1f5cf9f33cf80"),
+        (["sigmap", "--max-n", "20", "--format", "text"], "ddda3aa16cfd2a981315b72725a7a9ac"),
+        (["sigmap", "--max-n", "20", "--format", "csv"], "1a7d31874eb0e6002fa373a9a702cbd2"),
+        (["construct", "3", "8"], "1bf588452cb1a600848d3f7b95ea1911"),
+        (["meander", "3", "8"], "d56d158fbe8c376ca97150466ffdb8ac"),
+        (["verify", "3", "8"], "8da2d2fc23e068b3cc3a628a9774460a"),
+    ],
+)
+def test_text_and_csv_bytes_pinned(argv, digest, monkeypatch, capsysbinary):
+    from meanderslice import cli
+
+    monkeypatch.delenv("SLICE_JOBS", raising=False)
+    assert cli.main(argv) == 0
+    assert hashlib.md5(capsysbinary.readouterr().out).hexdigest() == digest
+
 # --- diagram --------------------------------------------------------------
 
 def test_diagram_ascii_2_3():
