@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import diagram as diagram_mod
 from .meander import (
@@ -22,7 +21,6 @@ from .meander import (
     MeanderError,
     coprime_pairs,
     signature,
-    signature_atlas,
     traversal,
     turning_data,
 )
@@ -34,22 +32,10 @@ SCHEMA_VERSION = "1"
 CSV_COLUMNS = ["p", "q", "n", "signature", "used_fix", "mode", "m"]
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(_jsonable(v) for v in x)
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    return str(x)
-
-
 def _dump_json(payload):
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """Every payload is plain JSON already: ints, strs, bools, lists or
+    tuples, and dicts with str keys."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _dump_csv(rows):
@@ -58,15 +44,6 @@ def _dump_csv(rows):
     for row in rows:
         w.writerow(row)
     return buf.getvalue()
-
-
-def _emit(text, out):
-    data = text.encode("utf-8")
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
 
 
 def _root_str(r):
@@ -194,10 +171,7 @@ def _csv_row(payload):
 
 
 def _text_kv(payload, keys):
-    lines = []
-    for k in keys:
-        lines.append("%s: %s" % (k, _jsonable(payload[k])))
-    return "\n".join(lines) + "\n"
+    return "".join("%s: %s\n" % (k, payload[k]) for k in keys)
 
 
 def cmd_meander(args):
@@ -304,33 +278,32 @@ def cmd_verify(args):
 
 
 def cmd_sigmap(args):
-    atlas = signature_atlas(args.max_n)
     rows = []
-    for pair, sig in atlas["rows"]:
+    fibers = {}
+    for pair in coprime_pairs(args.max_n):
         sc = construct(pair)
-        ap = adapted_pair(pair)
+        sig = sc.sig.as_string()
         rows.append(
             {
                 "p": pair.p,
                 "q": pair.q,
                 "n": pair.n,
-                "signature": sig.as_string(),
+                "signature": sig,
                 "used_exceptional_fix": sc.used_exceptional_fix,
                 "construction_mode": sc.construction_mode,
-                "m": ap.m,
+                "m": adapted_pair(pair).m,
             }
         )
-    fibers = {
-        s: sorted(ps) for s, ps in atlas["fibers"].items()
-    }
+        fibers.setdefault(sig, []).append((pair.p, pair.q))
+    fibers = {s: sorted(ps) for s, ps in fibers.items()}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "sigmap",
         "max_n": args.max_n,
         "rows": rows,
-        "image": atlas["image"],
+        "image": sorted(fibers),
         "fibers": fibers,
-        "shared": {s: sorted(ps) for s, ps in atlas["shared"].items()},
+        "shared": {s: ps for s, ps in fibers.items() if len(ps) > 1},
     }
     if args.format == "json":
         return _dump_json(payload), 0
@@ -447,7 +420,16 @@ def main(argv=None):
     except ConstructionFailed as ex:
         print("slice: verification failure: %s" % ex, file=sys.stderr)
         return 1
-    _emit(text, args.out)
+    data = text.encode("utf-8")
+    if not args.out:
+        sys.stdout.buffer.write(data)
+        return code
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as ex:  # an --out path that cannot be written is bad input
+        print("slice: input error: %s" % ex, file=sys.stderr)
+        return 2
     return code
 
 

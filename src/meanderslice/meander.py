@@ -271,18 +271,3 @@ def coprime_pairs(max_n):
                 out.append(CoprimePair(p, q))
     return out
 
-
-def signature_atlas(max_n):
-    """Deterministic table pair -> signature plus image/fiber reports."""
-    if max_n < 3:
-        raise MeanderError("the atlas needs max_n >= 3, got %d" % max_n)
-    rows = []
-    for pair in coprime_pairs(max_n):
-        sig = signature(turning_data(traversal(pair)))
-        rows.append((pair, sig))
-    fibers = {}
-    for pair, sig in rows:
-        fibers.setdefault(sig.as_string(), []).append((pair.p, pair.q))
-    image = sorted(fibers)
-    shared = {s: ps for s, ps in fibers.items() if len(ps) > 1}
-    return {"rows": rows, "image": image, "fibers": fibers, "shared": shared}

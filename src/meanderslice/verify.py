@@ -297,9 +297,10 @@ def _form_row(b, index, position, diagonal):
     return {k: v for k, v in row.items() if v}
 
 
-def graded_skew_form(pair, ap=None):
-    """The skew form of eta = sum of x_beta over the support, built one
-    row at a time (`_form_row`) and ranked one ad h weight block at a time.
+def graded_skew_form(ap):
+    """The skew form of eta = sum of x_beta over the support of the adapted
+    pair `ap`, built one row at a time (`_form_row`) and ranked one ad h
+    weight block at a time.
 
     The weights come from the h of `ap`, scaled to integers.  Two checks
     run on every non-zero entry, so neither is assumed: an entry outside
@@ -311,10 +312,9 @@ def graded_skew_form(pair, ap=None):
     when their sum reaches d - 1 (d is odd here) every one of them is
     exact; otherwise every block is ranked again with Bareiss.
     """
-    ap = ap or adapted_pair(pair)
     scale = math.lcm(*(x.denominator for x in ap.h))
     h = [x.numerator * (scale // x.denominator) for x in ap.h]
-    basis = parabolic_basis(pair)
+    basis = parabolic_basis(ap.pair)
     position = {}
     diagonal = {}  # i -> index of E_ii - E_{i+1,i+1}
     weights = []
@@ -362,14 +362,13 @@ def graded_skew_form(pair, ap=None):
     )
 
 
-def eta_regularity(pair, ap=None, form=None):
+def eta_regularity(form):
     """Dimension of the centraliser of eta inside the truncated parabolic.
 
-    The kernel of the skew form S is that centraliser; its rank is the sum
-    of the exact ranks of the ad h weight blocks.  dim is always odd here.
-    `form` is the `graded_skew_form` of the pair, built when not given.
+    The kernel of the skew form S, the `graded_skew_form` of the pair, is
+    that centraliser; its rank is the sum of the exact ranks of the ad h
+    weight blocks.  dim is always odd here.
     """
-    form = form or graded_skew_form(pair, ap)
     d = form.dim
     if d % 2 != 1:
         raise ValueError("the truncated parabolic has even dimension %d" % d)
@@ -382,21 +381,18 @@ def eta_regularity(pair, ap=None, form=None):
     }
 
 
-def complement_check(pair, ap=None, top_root=None, form=None):
-    """Check that the coadjoint orbit directions of eta together with the
-    functional of x_r (r = `top_root`, by default alpha) span the dual of
-    the truncated parabolic.
+def complement_check(form, root):
+    """Check that the coadjoint orbit directions of eta, read off its
+    `graded_skew_form`, together with the functional of x_r (r = `root`,
+    alpha for the certificate) span the dual of the truncated parabolic.
 
     The functional of x_r = E_ab is trace(E_ab b_k), non-zero only on
     b_k = E_ba, of weight -h(r).  Its row joins the block whose columns
     have that weight, and only that block is ranked again: modulo a prime
     first, where a gain over the exact block rank is exact; no gain there
-    may be a miss, so it is confirmed with Bareiss.  `form` is as for
-    `eta_regularity`.
+    may be a miss, so it is confirmed with Bareiss.
     """
-    ap = ap or adapted_pair(pair)
-    form = form or graded_skew_form(pair, ap)
-    a, b = top_root if top_root is not None else ap.alpha
+    a, b = root
     rank = form.rank
     k = form.position.get((b, a))
     if k is not None:
@@ -501,23 +497,14 @@ def full_report(pair, with_stabiliser=True):
     and of the completed element, restriction and complement checks.  The
     path order, certified during construction, is the Weyl permutation.
 
-    The report is the boundary where roots turn dense: each root field
-    holds n-tuples over e_1..e_n, and the sorted ones are sorted as such."""
+    `added_roots`, the roots of y'' outside the modified system, is the
+    one dense field: n-tuples over e_1..e_n, sorted as such."""
     sc = construct(pair)
     ap = adapted_pair(pair)
     support = completed_element(sc)
     modified = set(sc.pi_final)
     regular = path_order_regular(support, sc.order)
     restrict = check_restriction(support, ap)
-    # every root field draws on the support of y'' and on pi_star
-    coords = {r: rootlab.dense(r, pair.n) for r in (*support, *sc.pi_star)}
-
-    def dense(roots):
-        return tuple(coords[r] for r in roots)
-
-    def dense_sorted(roots):
-        return tuple(sorted(dense(roots)))
-
     eigen_ok = all(
         h_eigenvalue(ap.h, r) == Fraction(-1) for r in ap.eta_support
     ) and all(h_eigenvalue(ap.h, r).denominator == 1 for r in support)
@@ -528,27 +515,22 @@ def full_report(pair, with_stabiliser=True):
         "construction_mode": sc.construction_mode,
         "used_exceptional_fix": sc.used_exceptional_fix,
         "order": sc.order,
-        "pi_star": dense(sc.pi_star),
-        "pi_final": dense(sc.pi_final),
-        "support_y2": dense_sorted(support),
-        "added_roots": dense_sorted(r for r in support if r not in modified),
-        "regular_nilpotent": regular,
-        "restriction": dict(
-            restrict,
-            zero_one=dense_sorted(restrict["zero_one"]),
-            minus=dense_sorted(restrict["minus"]),
+        "added_roots": tuple(
+            sorted(rootlab.dense(r, pair.n) for r in support if r not in modified)
         ),
+        "regular_nilpotent": regular,
+        "restriction": restrict,
         "h": ap.h,
         "m": ap.m,
         "eta_eigenvalues_ok": eigen_ok,
         "conditions": {k: sc.checks[k] for k in ("a", "b", "c", "d", "ok")},
     }
     if with_stabiliser:
-        form = graded_skew_form(pair, ap)
-        reg = eta_regularity(pair, ap, form=form)
+        form = graded_skew_form(ap)
+        reg = eta_regularity(form)
         report["eta_regular"] = reg["regular"]
         report["stabiliser_dim"] = reg["stabiliser_dim"]
-        report["complement_ok"] = complement_check(pair, ap, form=form)
+        report["complement_ok"] = complement_check(form, ap.alpha)
     ok = (
         report["conditions"]["ok"]
         and regular

@@ -155,11 +155,11 @@ def test_acceptance_stabiliser_dimension():
     done = timed(120.0)
     for pair in PAIRS_30:
         ap = adapted_pair(pair)
-        form = graded_skew_form(pair, ap)
-        reg = eta_regularity(pair, ap, form=form)
+        form = graded_skew_form(ap)
+        reg = eta_regularity(form)
         assert reg["stabiliser_dim"] == 1
         assert reg["regular"]
-        assert complement_check(pair, ap, form=form)
+        assert complement_check(form, ap.alpha)
     done()
 
 

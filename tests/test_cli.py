@@ -191,7 +191,6 @@ def test_sigmap_csv_has_fiber_section():
     assert "signature,count,pairs" in text
 
 
-
 # --- text and csv bytes ---------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -212,6 +211,7 @@ def test_text_and_csv_bytes_pinned(argv, digest, monkeypatch, capsysbinary):
     monkeypatch.delenv("SLICE_JOBS", raising=False)
     assert cli.main(argv) == 0
     assert hashlib.md5(capsysbinary.readouterr().out).hexdigest() == digest
+
 
 # --- diagram --------------------------------------------------------------
 
@@ -254,6 +254,17 @@ def test_out_writes_file(tmp_path):
     assert proc.stdout == b""
     payload = json.loads(target.read_text())
     assert payload["phi"] == [4, 2, 1, 5, 3]
+    # the file holds exactly the bytes stdout would get
+    assert target.read_bytes() == run_cli("meander", "2", "3", "--format", "json").stdout
+
+
+def test_unwritable_out_is_an_input_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli("meander", "2", "3", "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith("slice: input error: ")
+    assert "Traceback" not in proc.stderr.decode()
 
 
 def test_commands_byte_deterministic():

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meanderslice import rootlab
+from meanderslice import cli, rootlab
 from meanderslice.meander import (
     CoprimePair,
     MeanderError,
@@ -14,7 +15,6 @@ from meanderslice.meander import (
     coprime_pairs,
     sigma,
     signature,
-    signature_atlas,
     tau,
     traversal,
     turning_data,
@@ -256,25 +256,31 @@ def test_signature_reads_nil_side():
 
 # --- atlas ----------------------------------------------------------------
 
-def test_atlas_contents():
-    atlas = signature_atlas(5)
-    pairs = [(pp.p, pp.q) for pp, _ in atlas["rows"]]
-    assert pairs == [(1, 2), (1, 3), (1, 4), (2, 3)]
-    sigs = {(pp.p, pp.q): s.as_string() for pp, s in atlas["rows"]}
+def sigmap_bytes(capsysbinary, max_n):
+    """The `slice sigmap --max-n N --format json` bytes and exit code."""
+    code = cli.main(["sigmap", "--max-n", str(max_n), "--format", "json"])
+    return code, capsysbinary.readouterr().out
+
+
+def test_atlas_contents(capsysbinary):
+    code, out = sigmap_bytes(capsysbinary, 5)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["p"], r["q"]) for r in rows] == [(1, 2), (1, 3), (1, 4), (2, 3)]
+    sigs = {(r["p"], r["q"]): r["signature"] for r in rows}
     assert sigs[(2, 3)] == "-"
 
 
-def test_atlas_deterministic():
-    a1 = signature_atlas(14)
-    a2 = signature_atlas(14)
-    assert [(pp, s.as_string()) for pp, s in a1["rows"]] == [
-        (pp, s.as_string()) for pp, s in a2["rows"]
-    ]
-    for s, ps in a1["shared"].items():
+def test_atlas_deterministic(capsysbinary):
+    first = sigmap_bytes(capsysbinary, 14)
+    assert sigmap_bytes(capsysbinary, 14) == first
+    shared = json.loads(first[1])["shared"]
+    assert shared
+    for s, ps in shared.items():
         assert len(ps) > 1
 
 
-def test_walk_certificates_raise_typed_errors():
+def test_walk_certificates_raise_typed_errors(capsysbinary):
     # these checks used to be asserts, which python -O strips
     tr = traversal(CoprimePair(2, 3))
     td = turning_data(tr)
@@ -284,8 +290,8 @@ def test_walk_certificates_raise_typed_errors():
         turning_data(replace(tr, pair=CoprimePair(1, 4)))
     with pytest.raises(MeanderError, match="exactly one boundary value"):
         signature(replace(td, nil=(True,) * len(td.nil)))
-    with pytest.raises(MeanderError, match="max_n >= 3"):
-        signature_atlas(2)
+    assert cli.main(["sigmap", "--max-n", "2"]) == 2
+    assert capsysbinary.readouterr().out == b""
 
 
 @given(st.integers(3, 25))

@@ -185,9 +185,9 @@ def test_adapted_pair_rejects_malformed_union(monkeypatch):
 # --- regularity of eta ----------------------------------------------------
 
 def test_eta_regularity_witnesses():
-    reg = eta_regularity(CoprimePair(1, 2))
+    reg = eta_regularity(graded_skew_form(adapted_pair(CoprimePair(1, 2))))
     assert reg == {"dim_p": 5, "rank": 4, "stabiliser_dim": 1, "regular": True}
-    reg = eta_regularity(CoprimePair(2, 3))
+    reg = eta_regularity(graded_skew_form(adapted_pair(CoprimePair(2, 3))))
     assert reg["dim_p"] == 17 and reg["rank"] == 16 and reg["stabiliser_dim"] == 1
 
 
@@ -213,18 +213,10 @@ def test_parabolic_basis_rejects_inconsistent_pair():
 
 def test_eta_regularity_rejects_even_dimension():
     pair = SimpleNamespace(p=2, q=2, n=4)  # not coprime: dim p = 10
-    zero = SimpleNamespace(h=(0, 0, 0, 0), eta_support=())
-    form = graded_skew_form(pair, zero)
+    zero = SimpleNamespace(pair=pair, h=(0, 0, 0, 0), eta_support=())
+    form = graded_skew_form(zero)
     with pytest.raises(ValueError, match="even dimension 10"):
-        eta_regularity(pair, form=form)
-
-
-def test_stabiliser_checks_accept_a_shared_form():
-    pair = CoprimePair(2, 3)
-    ap = adapted_pair(pair)
-    form = graded_skew_form(pair, ap)
-    assert eta_regularity(pair, ap, form=form) == eta_regularity(pair, ap)
-    assert complement_check(pair, ap, form=form) == complement_check(pair, ap)
+        eta_regularity(form)
 
 
 def dense_complement_oracle(s, basis, root):
@@ -238,7 +230,7 @@ def dense_complement_oracle(s, basis, root):
 def test_graded_form_against_dense_oracle():
     for pair in coprime_pairs(20):
         ap = adapted_pair(pair)
-        form = graded_skew_form(pair, ap)
+        form = graded_skew_form(ap)
         s, basis = skew_form_matrix(pair, ap)
         d = len(basis)
         # every non-zero dense entry sits in the block of its row weight
@@ -249,14 +241,14 @@ def test_graded_form_against_dense_oracle():
                     nonzero += 1
                     assert form.blocks[form.weights[j]][j][k] == v
         assert nonzero == sum(len(r) for rows in form.blocks.values() for r in rows.values())
-        reg = eta_regularity(pair, ap, form=form)
+        reg = eta_regularity(form)
         assert reg["stabiliser_dim"] == d - verify.certified_rank(s, d - 1) == 1
-        assert complement_check(pair, ap, form=form) == dense_complement_oracle(
+        assert complement_check(form, ap.alpha) == dense_complement_oracle(
             s, basis, ap.alpha
         )
         if pair.n <= 12:
             for beta in ap.eta_support:
-                assert not complement_check(pair, ap, top_root=beta, form=form)
+                assert not complement_check(form, beta)
                 assert not dense_complement_oracle(s, basis, beta)
 
 
@@ -279,8 +271,8 @@ def test_block_ranks_against_bareiss(monkeypatch):
     forms = []
     for pair in coprime_pairs(30):
         ap = adapted_pair(pair)
-        forms.append(graded_skew_form(pair, ap))
-        assert complement_check(pair, ap, form=forms[-1])
+        forms.append(graded_skew_form(ap))
+        assert complement_check(forms[-1], ap.alpha)
     # the certificate needed no Bareiss rank
     assert spy.calls == 0
     for form in forms:
@@ -308,13 +300,13 @@ def mutated_form(monkeypatch, pair, ap, mutate):
         return row
 
     monkeypatch.setattr(verify, "_form_row", form_row)
-    return graded_skew_form(pair, ap)
+    return graded_skew_form(ap)
 
 
 def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
     pair = CoprimePair(3, 4)
     ap = adapted_pair(pair)
-    form = graded_skew_form(pair, ap)
+    form = graded_skew_form(ap)
     # an entry alone in its row and in its column, in a ranked block
     column_counts = Counter(k for rows in form.blocks.values() for row in rows.values() for k in row)
     (j0, k0) = next(
@@ -338,13 +330,13 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
     )
     assert modular < form.dim - 1
     assert spy.calls == len(mutated.blocks)
-    assert eta_regularity(pair, ap, form=mutated)["stabiliser_dim"] == 1
+    assert eta_regularity(mutated)["stabiliser_dim"] == 1
 
 
 def test_zeroed_row_drops_the_rank_through_the_fallback(monkeypatch):
     pair = CoprimePair(3, 4)
     ap = adapted_pair(pair)
-    form = graded_skew_form(pair, ap)
+    form = graded_skew_form(ap)
     sizes = Counter(form.weights)
     # a row in a pair of square blocks of full rank: the kernel of S misses it
     j0 = next(
@@ -362,13 +354,13 @@ def test_zeroed_row_drops_the_rank_through_the_fallback(monkeypatch):
     spy = RankSpy(monkeypatch)
     mutated = mutated_form(monkeypatch, pair, ap, zero_row_and_column)
     assert spy.calls == len(mutated.blocks)
-    assert eta_regularity(pair, ap, form=mutated)["stabiliser_dim"] == 3
+    assert eta_regularity(mutated)["stabiliser_dim"] == 3
 
 
 def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
     pair = CoprimePair(2, 3)
     ap = adapted_pair(pair)
-    form = graded_skew_form(pair, ap)
+    form = graded_skew_form(ap)
     j0, row0 = next(iter(form.blocks[max(form.blocks)].items()))
     k0 = next(iter(row0))
 
@@ -388,17 +380,17 @@ def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
 def test_graded_form_scales_rational_weights():
     pair = CoprimePair(2, 3)
     ap = adapted_pair(pair)
-    form = graded_skew_form(pair, ap)
+    form = graded_skew_form(ap)
     assert form.scale == 1 and all(isinstance(w, int) for w in form.weights)
     # h + 1/2 has the same ad h weights, over the common denominator 2
-    half = graded_skew_form(pair, replace(ap, h=tuple(x + Fraction(1, 2) for x in ap.h)))
+    half = graded_skew_form(replace(ap, h=tuple(x + Fraction(1, 2) for x in ap.h)))
     assert half.scale == 2
     assert half.weights == tuple(2 * w for w in form.weights)
     assert half.blocks == {2 * lam: rows for lam, rows in form.blocks.items()}
     assert half.ranks == {2 * lam: r for lam, r in form.ranks.items()}
     tampered_h = (ap.h[0] + Fraction(1, 2),) + ap.h[1:]
     with pytest.raises(ValueError, match=r"/2 \+ .*, not 1|\+ .*/2, not 1"):
-        graded_skew_form(pair, replace(ap, h=tampered_h))
+        graded_skew_form(replace(ap, h=tampered_h))
 
 
 def test_graded_form_rejects_entries_off_their_block():
@@ -406,10 +398,10 @@ def test_graded_form_rejects_entries_off_their_block():
     ap = adapted_pair(pair)
     tampered_h = (ap.h[0] + 1,) + ap.h[1:]
     with pytest.raises(ValueError, match="not 1"):
-        graded_skew_form(pair, replace(ap, h=tampered_h))
+        graded_skew_form(replace(ap, h=tampered_h))
     # x_alpha has weight m = 8, not -1
     with pytest.raises(ValueError, match="not 1"):
-        graded_skew_form(pair, replace(ap, eta_support=ap.eta_support + (ap.alpha,)))
+        graded_skew_form(replace(ap, eta_support=ap.eta_support + (ap.alpha,)))
 
 
 def test_complement_check(monkeypatch):
@@ -417,13 +409,13 @@ def test_complement_check(monkeypatch):
     for pq in [(1, 2), (2, 3)]:
         pair = CoprimePair(*pq)
         ap = adapted_pair(pair)
-        form = graded_skew_form(pair, ap)
+        form = graded_skew_form(ap)
         before = spy.calls
-        assert complement_check(pair, ap, form=form)
+        assert complement_check(form, ap.alpha)
         assert spy.calls == before  # a modular gain is exact
         # any eta-support root lies in the coadjoint image: rank cannot close
         for beta in ap.eta_support:
-            assert not complement_check(pair, ap, top_root=beta, form=form)
+            assert not complement_check(form, beta)
         # a modular rank can miss, so each False is confirmed with Bareiss
         assert spy.calls == before + len(ap.eta_support)
 
