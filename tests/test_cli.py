@@ -203,6 +203,11 @@ def test_sigmap_csv_has_fiber_section():
         (["construct", "3", "8"], "1bf588452cb1a600848d3f7b95ea1911"),
         (["meander", "3", "8"], "d56d158fbe8c376ca97150466ffdb8ac"),
         (["verify", "3", "8"], "8da2d2fc23e068b3cc3a628a9774460a"),
+        (["meander", "3", "8", "--format", "csv"], "9af0e7048d09c9d63074ed3d9701f66a"),
+        (["construct", "3", "8", "--format", "csv"], "1ff1bef4f048e382079a95dc599df376"),
+        (["verify", "3", "8", "--format", "csv"], "1ff1bef4f048e382079a95dc599df376"),
+        (["diagram", "3", "8"], "a65ec351b8cb5c14e9a107b0c314c49a"),
+        (["diagram", "3", "8", "--format", "svg"], "f5397d512aea2b9a7b19e1eb765062b9"),
     ],
 )
 def test_text_and_csv_bytes_pinned(argv, digest, monkeypatch, capsysbinary):
