@@ -175,20 +175,11 @@ def _text_kv(payload, keys):
 
 
 def cmd_meander(args):
-    pair = CoprimePair(args.p, args.q)
-    payload = _meander_payload(pair)
+    payload = _meander_payload(CoprimePair(args.p, args.q))
     if args.format == "json":
         return _dump_json(payload), 0
     if args.format == "csv":
-        row = _csv_row(
-            {
-                "p": pair.p,
-                "q": pair.q,
-                "n": pair.n,
-                "signature": payload["signature"],
-            }
-        )
-        return _dump_csv([CSV_COLUMNS, row]), 0
+        return _dump_csv([CSV_COLUMNS, _csv_row(payload)]), 0
     keys = [
         "p", "q", "n", "phi", "a", "b", "turning_positions", "turning_tags",
         "eps", "nil", "isolated", "e", "m_even", "signature",
@@ -228,9 +219,22 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
+    jobs = args.jobs
+    env_jobs = os.environ.get("SLICE_JOBS")
+    if env_jobs:
+        try:
+            jobs = int(env_jobs)
+        except ValueError:
+            raise MeanderError("invalid SLICE_JOBS=%r" % env_jobs) from None
+    if jobs < 1:
+        raise MeanderError("jobs must be at least 1, got %d" % jobs)
+    single = args.max_n is None and args.q is not None
+    sweep = args.p is None and args.max_n is not None and args.max_n >= 3
+    if not (single or sweep):
+        raise MeanderError("verify needs p q, or --max-n N with N >= 3")
     if args.max_n is not None:
         pairs = [(pp.p, pp.q) for pp in coprime_pairs(args.max_n)]
-        jobs = min(args.jobs, os.cpu_count() or 1, len(pairs))
+        jobs = min(jobs, os.cpu_count() or 1, len(pairs))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_verify_row_worker, pairs))
@@ -278,6 +282,8 @@ def cmd_verify(args):
 
 
 def cmd_sigmap(args):
+    if args.max_n is None or args.max_n < 3:
+        raise MeanderError("sigmap needs --max-n N with N >= 3")
     rows = []
     fibers = {}
     for pair in coprime_pairs(args.max_n):
@@ -324,14 +330,8 @@ def cmd_sigmap(args):
 
 
 def cmd_diagram(args):
-    pair = CoprimePair(args.p, args.q)
-    sc = construct(pair)
-    fmt = args.diagram or (args.format if args.format in ("ascii", "svg") else None)
-    if fmt is None and args.format in (None, "text"):
-        fmt = "ascii"
-    if fmt not in ("ascii", "svg"):
-        raise MeanderError("diagram format must be ascii or svg")
-    if fmt == "svg":
+    sc = construct(CoprimePair(args.p, args.q))
+    if args.format == "svg":
         return diagram_mod.svg_diagram(sc), 0
     return diagram_mod.ascii_diagram(sc), 0
 
@@ -342,78 +342,50 @@ def build_parser():
         description="Meander combinatorics and exactly certified adapted pairs for sl(p+q).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = ("json", "csv", "text")
 
-    def common(
-        sp, pq=True, max_n=False, jobs=False, diagram=False,
-        formats=("json", "csv", "text"), default="text",
-    ):
-        if pq:
-            sp.add_argument("p", type=int, nargs="?")
-            sp.add_argument("q", type=int, nargs="?")
-        if max_n:
-            sp.add_argument("--max-n", type=int, dest="max_n")
-        sp.add_argument("--format", choices=formats, default=default)
-        sp.add_argument("--out")
-        if jobs:
-            sp.add_argument("--jobs", type=int, default=1)
-        if diagram:
-            sp.add_argument("--diagram", choices=("ascii", "svg"))
+    sp = sub.add_parser("meander", help="orbit, turning points, signature")
+    sp.add_argument("p", type=int)
+    sp.add_argument("q", type=int)
+    sp.add_argument("--format", choices=tables, default="text")
+    sp.add_argument("--out")
+    sp.set_defaults(run=cmd_meander)
 
-    common(sub.add_parser("meander", help="orbit, turning points, signature"))
-    common(sub.add_parser("construct", help="modified simple root systems with ledger"))
-    common(
-        sub.add_parser("verify", help="full certification, single pair or sweep"),
-        max_n=True,
-        jobs=True,
-    )
-    common(sub.add_parser("sigmap", help="signature atlas over all coprime pairs"), pq=False, max_n=True)
-    common(
-        sub.add_parser("diagram", help="ascii/svg rendering of the meander"),
-        diagram=True,
-        formats=("json", "csv", "text", "ascii", "svg"),
-        default="ascii",
-    )
+    sp = sub.add_parser("construct", help="modified simple root systems with ledger")
+    sp.add_argument("p", type=int)
+    sp.add_argument("q", type=int)
+    sp.add_argument("--format", choices=tables, default="text")
+    sp.add_argument("--out")
+    sp.set_defaults(run=cmd_construct)
+
+    sp = sub.add_parser("verify", help="full certification, single pair or sweep")
+    sp.add_argument("p", type=int, nargs="?")
+    sp.add_argument("q", type=int, nargs="?")
+    sp.add_argument("--max-n", type=int, dest="max_n")
+    sp.add_argument("--format", choices=tables, default="text")
+    sp.add_argument("--out")
+    sp.add_argument("--jobs", type=int, default=1)
+    sp.set_defaults(run=cmd_verify)
+
+    sp = sub.add_parser("sigmap", help="signature atlas over all coprime pairs")
+    sp.add_argument("--max-n", type=int, dest="max_n")
+    sp.add_argument("--format", choices=tables, default="text")
+    sp.add_argument("--out")
+    sp.set_defaults(run=cmd_sigmap)
+
+    sp = sub.add_parser("diagram", help="ascii/svg rendering of the meander")
+    sp.add_argument("p", type=int)
+    sp.add_argument("q", type=int)
+    sp.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+    sp.add_argument("--out")
+    sp.set_defaults(run=cmd_diagram)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        env_jobs = os.environ.get("SLICE_JOBS")
-        if env_jobs:
-            try:
-                args.jobs = int(env_jobs)
-            except ValueError:
-                print("slice: invalid SLICE_JOBS=%r" % env_jobs, file=sys.stderr)
-                return 2
-        if args.jobs < 1:
-            print("slice: jobs must be at least 1, got %d" % args.jobs, file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "meander":
-            _require_pq(parser, args)
-            text, code = cmd_meander(args)
-        elif args.command == "construct":
-            _require_pq(parser, args)
-            text, code = cmd_construct(args)
-        elif args.command == "verify":
-            if args.max_n is None:
-                _require_pq(parser, args)
-            elif args.p is not None or args.max_n < 3:
-                print("slice: verify needs p q, or --max-n N with N >= 3", file=sys.stderr)
-                return 2
-            text, code = cmd_verify(args)
-        elif args.command == "sigmap":
-            if args.max_n is None or args.max_n < 3:
-                print("slice: sigmap needs --max-n N with N >= 3", file=sys.stderr)
-                return 2
-            text, code = cmd_sigmap(args)
-        elif args.command == "diagram":
-            _require_pq(parser, args)
-            text, code = cmd_diagram(args)
-        else:  # pragma: no cover
-            return 2
+        text, code = args.run(args)
     except MeanderError as ex:
         print("slice: input error: %s" % ex, file=sys.stderr)
         return 2
@@ -431,11 +403,6 @@ def main(argv=None):
         print("slice: input error: %s" % ex, file=sys.stderr)
         return 2
     return code
-
-
-def _require_pq(parser, args):
-    if args.p is None or args.q is None:
-        parser.error("this command requires p and q")
 
 
 if __name__ == "__main__":

@@ -111,19 +111,6 @@ def turning_set_closed_form(pair):
     return A, B
 
 
-def turning_set_sign_flip(pair):
-    """Orbit values v where v - sigma(v) and v - tau(v) have opposite
-    signs, end points (one difference zero) included."""
-    p, n = pair.p, pair.n
-    out = set()
-    for v in range(1, n + 1):
-        ds = v - sigma(v, n)
-        dt = v - tau(v, p, n)
-        if ds == 0 or dt == 0 or (ds > 0) != (dt > 0):
-            out.add(v)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class TurningData:
     pair: CoprimePair
@@ -139,10 +126,6 @@ class TurningData:
     e: int  # exceptional index: beta_e is +- a simple root
     m: int  # the even member of {p, 2p+q, n}
 
-    @property
-    def internal_positions(self):
-        return self.positions[1:-1]
-
     def tag_at(self, t):
         return self.tags[self.positions.index(t)]
 
@@ -154,13 +137,8 @@ def turning_data(tr):
     pair = tr.pair
     p, q, n = pair.p, pair.q, pair.n
     A, B = turning_set_closed_form(pair)
-    flips = turning_set_sign_flip(pair)
-    if flips != A | B:
-        raise MeanderError(
-            "turning-point computations disagree for (%d,%d): %r vs %r"
-            % (p, q, sorted(flips), sorted(A | B))
-        )
-    positions = tuple(t for t in range(1, n + 1) if tr.phi[t - 1] in flips)
+    turning_values = A | B
+    positions = tuple(t for t in range(1, n + 1) if tr.phi[t - 1] in turning_values)
     tags = tuple("A" if tr.phi[t - 1] in A else "B" for t in positions)
     if len(positions) != p + 1:
         raise MeanderError("%d turning points, expected %d" % (len(positions), p + 1))

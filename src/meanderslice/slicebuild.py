@@ -26,27 +26,16 @@ class ConstructionRuleError(ConstructionFailed):
     """The rule engine hit a state its case analysis does not cover."""
 
 
-@dataclass(frozen=True)
-class IntervalValue:
-    s: int  # smaller turning position
-    t: int  # larger turning position
-    value: tuple  # the root e_{phi(s)} - e_{phi(t)}
-    simple: bool  # consecutive turning points
-    sign: int  # +1 iff phi(s) is on the A side
-
-
 def interval_value(td, s, t):
+    """The root e_{phi(s)} - e_{phi(t)} between two distinct turning
+    positions, with s < t whichever order they are given in."""
     if s > t:
         s, t = t, s
     posset = set(td.positions)
     if s == t or s not in posset or t not in posset:
         raise ValueError("(%d,%d) are not distinct turning positions" % (s, t))
     phi = td.traversal.phi
-    n = td.pair.n
-    value = rootlab.eps_diff(phi[s - 1], phi[t - 1], n)
-    simple = td.positions.index(t) == td.positions.index(s) + 1
-    sign = 1 if td.tag_at(s) == "A" else -1
-    return IntervalValue(s=s, t=t, value=value, simple=simple, sign=sign)
+    return rootlab.eps_diff(phi[s - 1], phi[t - 1], td.pair.n)
 
 
 @dataclass(frozen=True)
@@ -254,13 +243,13 @@ def build_pi_star(td, sig):
     for idx in sorted(instructions):
         span, case = instructions[idx]
         iv = interval_value(td, *span)
-        newv = rootlab.add(betas[idx - 1], iv.value)
+        newv = rootlab.add(betas[idx - 1], iv)
         if newv is None:
             raise ConstructionRuleError("changed beta_%d is not elementary" % idx)
         if rootlab.alpha_p_coefficient(rootlab.scale(td.eps[idx - 1], newv), p) != -1:
             raise ConstructionRuleError("changed beta_%d misses coefficient -1" % idx)
         beta_prime[idx - 1] = newv
-        entries[idx] = ChangeEntry(index=idx, span=span, case=case, added=iv.value)
+        entries[idx] = ChangeEntry(index=idx, span=span, case=case, added=iv)
 
     return ChangeLedger(
         entries=entries,
@@ -303,12 +292,10 @@ def check_conditions(td, beta_now):
         res["witness"] = res["witness"] or "exceptional value beta_%d unchanged" % td.e
     if order is None:
         res["d"] = False
-        res["d_all"] = False
     else:
         pos = rootlab.path_positions(order)
         pos_ok = [rootlab.positive_wrt(rootlab.scale(eps[i], betas[i]), pos) for i in range(n - 1)]
         res["d"] = all(ok for i, ok in enumerate(pos_ok, start=1) if i != td.e)
-        res["d_all"] = all(pos_ok)
         if not res["d"]:
             bad = [i for i, ok in enumerate(pos_ok, start=1) if not ok and i != td.e]
             res["witness"] = res["witness"] or "negative original values %r" % bad
@@ -348,7 +335,7 @@ def exceptional_fix(td, ledger):
         if td.tag_at(s) != "A":
             raise ConstructionRuleError("closest turning point is not on the A side")
         lo, hi = (t0, s) if t0 < s else (s, t0)
-        iv = interval_value(td, lo, hi).value
+        iv = interval_value(td, lo, hi)
         nil_idx = s - 1 if (s >= 2 and td.nil[s - 2]) else s
         in_support = lo <= nil_idx < hi
         second = None

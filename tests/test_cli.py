@@ -45,6 +45,7 @@ def test_exit_code_bad_ranges_and_jobs():
     assert run_cli("verify", "--max-n", "2").returncode == 2  # no pair at all
     assert run_cli("verify", "--max-n", "-4").returncode == 2
     assert run_cli("verify", "2", "3", "--max-n", "5").returncode == 2
+    assert run_cli("verify", "2", "--max-n", "5").returncode == 2  # p without q
     assert run_cli("verify", "2", "3", "--jobs", "0").returncode == 2
     assert run_cli("verify", "--max-n", "5", "--jobs", "-1").returncode == 2
     for value in ("0", "-3"):
@@ -240,14 +241,13 @@ def test_diagram_svg_valid_and_deterministic():
     assert root.tag.endswith("svg")
 
 
-def test_diagram_rejects_table_formats():
-    assert run_cli("diagram", "2", "3", "--format", "csv").returncode == 2
-
-
-def test_diagram_flag_alias():
-    a = run_cli("diagram", "2", "3", "--diagram", "svg").stdout
-    b = run_cli("diagram", "2", "3", "--format", "svg").stdout
-    assert a == b
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--format", "csv"), ("--format", "json"), ("--format", "text"), ("--diagram", "svg")],
+)
+def test_diagram_rejects_table_formats(flag, value):
+    # --format ascii|svg is the one way to choose a diagram format
+    assert run_cli("diagram", "2", "3", flag, value).returncode == 2
 
 
 # --- output file, determinism, jobs --------------------------------------
@@ -336,7 +336,7 @@ def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
     started.clear()
     assert cli.main(["verify", "--max-n", "3", "--jobs", "8"]) == 0
     assert started == []
-    # only verify takes --jobs, and only diagram takes --diagram
+    # only verify takes --jobs, and no command takes --diagram
     for args in (
         ["meander", "2", "3", "--jobs", "2"],
         ["construct", "2", "3", "--jobs", "2"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meanderslice import cli, rootlab
+from meanderslice import cli, meander, rootlab
 from meanderslice.meander import (
     CoprimePair,
     MeanderError,
@@ -19,8 +19,8 @@ from meanderslice.meander import (
     traversal,
     turning_data,
     turning_set_closed_form,
-    turning_set_sign_flip,
 )
+from oracles import turning_set_sign_flip
 
 ALL_PAIRS = coprime_pairs(30)
 
@@ -143,6 +143,31 @@ def test_turning_sets_agree():
         assert not A & B
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda A, B: (A - {max(A)}, B),
+        lambda A, B: (A, B - {max(B)}),
+        lambda A, B: (A - {max(A)}, B | {max(A)}),
+        lambda A, B: (A | {min(B)}, B - {min(B)}),
+    ],
+    ids=["drop-max-A", "drop-max-B", "max-A-to-B", "min-B-to-A"],
+)
+def test_turning_data_rejects_a_wrong_turning_set(corrupt, monkeypatch):
+    # the closed form is trusted at run time; a wrong set must still fail
+    # the count, alternation or label checks of turning_data
+    closed_form = meander.turning_set_closed_form
+    monkeypatch.setattr(
+        meander, "turning_set_closed_form", lambda pair: corrupt(*closed_form(pair))
+    )
+    for pair in coprime_pairs(40):
+        tr = traversal(pair)
+        with pytest.raises(
+            MeanderError, match="turning points, expected|must alternate|does not match its tag"
+        ):
+            turning_data(tr)
+
+
 def test_turning_data_2_3():
     td = td_for(2, 3)
     assert td.positions == (1, 2, 5)
@@ -160,7 +185,7 @@ def test_turning_counts_and_alternation():
     for pair in ALL_PAIRS:
         td = turning_data(traversal(pair))
         assert len(td.positions) == pair.p + 1
-        assert len(td.internal_positions) == pair.p - 1
+        assert len(td.positions[1:-1]) == pair.p - 1
         for x, y in zip(td.tags, td.tags[1:]):
             assert {x, y} == {"A", "B"}
         first = 1 if pair.p % 2 == 1 else 0
@@ -181,7 +206,7 @@ def test_nil_structure_at_turning_points():
     for pair in ALL_PAIRS:
         td = turning_data(traversal(pair))
         n = pair.n
-        for t in td.internal_positions:
+        for t in td.positions[1:-1]:
             above, below = td.nil[t - 2], td.nil[t - 1]
             if td.tag_at(t) == "A":
                 # exactly one nil neighbour at internal A points

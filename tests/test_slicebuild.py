@@ -25,13 +25,12 @@ def sc_for(p, q):
 
 def test_interval_value_witnesses():
     td = sc_for(2, 3).turning
-    iv = interval_value(td, 1, 2)
-    assert iv.value == rootlab.eps_diff(4, 2, 5)
-    assert iv.simple and iv.sign == -1
+    assert interval_value(td, 1, 2) == rootlab.eps_diff(4, 2, 5)
+    # consecutive turning points, the first one on the B side
+    assert td.positions.index(2) == td.positions.index(1) + 1 and td.tag_at(1) == "B"
     td12 = sc_for(1, 2).turning
-    iv = interval_value(td12, 1, 3)
-    assert iv.value == rootlab.eps_diff(1, 2, 3)
-    assert iv.simple  # the two positions are consecutive turning points
+    assert interval_value(td12, 1, 3) == rootlab.eps_diff(1, 2, 3)
+    assert td12.positions.index(3) == td12.positions.index(1) + 1
 
 
 def test_interval_value_requires_turning_positions():
@@ -43,8 +42,9 @@ def test_interval_value_requires_turning_positions():
 
 
 def test_interval_value_properties():
-    # value = sum of the chain over [s,t); simple values have exactly one
-    # nil index and p-th coefficient equal to the sign
+    # value = sum of the chain over [s,t); values between consecutive
+    # turning points have exactly one nil index and p-th coefficient +1
+    # when s is on the A side, -1 otherwise
     for sc in SWEEP:
         td = sc.turning
         n = td.pair.n
@@ -57,13 +57,12 @@ def test_interval_value_properties():
                 acc = (0,) * n
                 for i in range(s, t):
                     acc = dense_add(acc, dense(betas[i - 1], n))
-                assert acc == dense(iv.value, n)
-                assert iv.simple == (bi == ai + 1)
-                assert iv.sign == (1 if td.tag_at(s) == "A" else -1)
-                if iv.simple:
+                assert acc == dense(iv, n)
+                if bi == ai + 1:
                     nils = [i for i in range(s, t) if td.nil[i - 1]]
                     assert len(nils) == 1
-                    assert rootlab.alpha_p_coefficient(iv.value, td.pair.p) == iv.sign
+                    sign = 1 if td.tag_at(s) == "A" else -1
+                    assert rootlab.alpha_p_coefficient(iv, td.pair.p) == sign
 
 
 # --- construction witnesses -----------------------------------------------
@@ -115,11 +114,11 @@ def test_rules_one_and_two():
             assert td.boundary[i - 1] and not td.nil[i - 1]
         # rule 2: exactly one change per internal turning point
         assert len(entries) == td.pair.p - 1
-        for t in td.internal_positions:
+        for t in td.positions[1:-1]:
             adjacent = [i for i in (t - 1, t) if i in entries]
             assert len(adjacent) >= 1
         # every entry is adjacent to exactly one internal turning point
-        internal = set(td.internal_positions)
+        internal = set(td.positions[1:-1])
         for i in entries:
             assert len({i, i + 1} & internal) >= 1
 
@@ -133,7 +132,7 @@ def test_rule_three_odd_opposite_side():
             s, t = entry.span
             gap = td.label_at(t) - td.label_at(s)
             assert gap % 2 == 1
-            assert entry.added == interval_value(td, s, t).value
+            assert entry.added == interval_value(td, s, t)
             assert i in (s - 1, t)  # above the upper end or below the lower end
 
 
@@ -163,7 +162,7 @@ def test_chi_injective_with_singleton_cokernel():
         assert d not in values
         assert set(values) | {d} >= b_positions
         for t in chi:
-            assert td.tag_at(t) == "A" and t in td.internal_positions
+            assert td.tag_at(t) == "A" and t in td.positions[1:-1]
 
 
 def test_conditions_hold_everywhere():
@@ -178,13 +177,19 @@ def test_positivity_strong_form_and_fix_effect():
     for sc in SWEEP:
         td = sc.turning
         betas = beta_sequence(td.traversal)
+
+        def all_positive(order):
+            pos = rootlab.path_positions(order)
+            signed = (rootlab.scale(td.eps[i], betas[i]) for i in range(td.pair.n - 1))
+            return all(rootlab.positive_wrt(r, pos) for r in signed)
+
         pre = check_conditions(td, sc.ledger.beta_prime)
         if not sc.used_exceptional_fix:
-            assert pre["d_all"]
+            assert all_positive(pre["order"])
         else:
             old_e = rootlab.scale(td.eps[td.e - 1], betas[td.e - 1])
             assert not rootlab.positive_wrt(old_e, rootlab.path_positions(sc.order))
-            assert sc.checks["d"] and not sc.checks["d_all"]
+            assert sc.checks["d"] and not all_positive(sc.order)
 
 
 def test_fix_changes_at_most_three_entries():
@@ -196,10 +201,8 @@ def test_fix_changes_at_most_three_entries():
 
 def test_rule_engine_rejects_a_sum_that_is_not_a_root(monkeypatch):
     # beta_2 = e_2 - e_1 of (2, 3) plus e_3 - e_5 is not a root
-    real = slicebuild.interval_value
-
     def off_chain(td, s, t):
-        return replace(real(td, s, t), value=rootlab.eps_diff(3, 5, 5))
+        return rootlab.eps_diff(3, 5, 5)
 
     monkeypatch.setattr(slicebuild, "interval_value", off_chain)
     with pytest.raises(ConstructionRuleError, match=r"\(2,3\): changed beta_2 is not elementary"):
