@@ -26,7 +26,7 @@ from .meander import (
 )
 from .rootlab import dense
 from .slicebuild import ConstructionFailed, construct, triangularity_order
-from .verify import adapted_pair, full_report
+from .verify import alpha_eigenvalue, full_report
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ["p", "q", "n", "signature", "used_fix", "mode", "m"]
@@ -83,7 +83,6 @@ def _meander_payload(pair):
 def _construct_payload(pair):
     """The construct report; roots turn dense here, at the JSON boundary."""
     sc = construct(pair)
-    ap = adapted_pair(pair)
     ledger = sc.ledger
     n = pair.n
     return {
@@ -99,7 +98,7 @@ def _construct_payload(pair):
         "weyl_perm": list(sc.order),
         "used_exceptional_fix": sc.used_exceptional_fix,
         "construction_mode": sc.construction_mode,
-        "m": ap.m,
+        "m": alpha_eigenvalue(pair),
         "conditions": {k: sc.checks[k] for k in ("a", "b", "c", "d", "ok")},
         "triangularity_order": list(triangularity_order(sc)),
         "ledger": {
@@ -297,7 +296,7 @@ def cmd_sigmap(args):
                 "signature": sig,
                 "used_exceptional_fix": sc.used_exceptional_fix,
                 "construction_mode": sc.construction_mode,
-                "m": adapted_pair(pair).m,
+                "m": alpha_eigenvalue(pair),
             }
         )
         fibers.setdefault(sig, []).append((pair.p, pair.q))

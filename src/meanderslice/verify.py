@@ -1,17 +1,15 @@
 """Exact certification of the adapted pair and its completed element.
 
-Everything here works with integer or rational matrices only: the
-nilpotent eta supported on the cascades, the rational diagonal h with
-eta-eigenvalue -1, the regularity of eta in the truncated two-block
-parabolic, and the completed regular nilpotent built from the modified
-simple root system.
+Everything here works with integer matrices only: the nilpotent eta
+supported on the cascades, the diagonal h with eta-eigenvalue -1 (the
+adapted pair of arXiv 1011.0928), certified integral by its solve, the
+regularity of eta in the truncated two-block parabolic, and the
+completed regular nilpotent built from the modified simple root system.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg, rootlab
 from .slicebuild import construct
@@ -25,7 +23,7 @@ class AdaptedPair:
     pair: object
     eta_support: tuple  # sorted roots beta with x_beta in eta
     alpha: tuple  # the one +- simple root dropped from the union
-    h: tuple  # rational diagonal entries h_1..h_n
+    h: tuple  # integral diagonal entries h_1..h_n
     m: int  # h-eigenvalue of x_alpha
 
 
@@ -39,12 +37,15 @@ def h_eigenvalue(h, r):
 class AdaptedPairError(ValueError):
     """Raised when the adapted pair cannot be certified: the cascades do
     not have the expected shape, or the eigenvalue system for h is not
-    uniquely solvable."""
+    uniquely solvable, or its solution is not integral."""
 
 
 def _solve_h_on_paths(support, p, q):
     """The unique diagonal h with h(beta) = -1 on `support` and zero trace
-    on both diagonal blocks, as a tuple of Fractions.
+    on both diagonal blocks, as a tuple of ints.
+
+    The paper (arXiv 1011.0928) asks only that h be ad-semisimple; for
+    this construction it is integral, and that is certified here.
 
     Each root e_a - e_b of the support is read as an undirected edge
     a - b carrying h_b = h_a + 1.  Propagating that rule from the least
@@ -52,7 +53,7 @@ def _solve_h_on_paths(support, p, q):
     the two block traces then give a 2x2 system for the constants.  The
     solution is unique exactly when every edge is consistent, there are
     two components and the 2x2 determinant is non-zero; anything else
-    raises AdaptedPairError.
+    raises AdaptedPairError, and so does a solution that is not integral.
     """
     n = p + q
     adjacent = [[] for _ in range(n + 1)]
@@ -92,12 +93,20 @@ def _solve_h_on_paths(support, p, q):
     det = a * d - b * c
     if det == 0:
         raise AdaptedPairError("the block-trace system for h is singular")
-    # Cramer's rule for counts . (c0, c1) = (-sums[0], -sums[1])
-    constants = (
-        Fraction(-sums[0] * d + sums[1] * b, det),
-        Fraction(-sums[1] * a + sums[0] * c, det),
-    )
+    # Cramer's rule for counts . (c0, c1) = (-sums[0], -sums[1]), in integers
+    c0, r0 = divmod(-sums[0] * d + sums[1] * b, det)
+    c1, r1 = divmod(-sums[1] * a + sums[0] * c, det)
+    if r0 or r1:
+        raise AdaptedPairError("the solution h of the block-trace system is not integral")
+    constants = (c0, c1)
     return tuple(constants[component[v]] + offset[v] for v in range(1, n + 1))
+
+
+def alpha_eigenvalue(pair):
+    """The eigenvalue m of h on x_alpha in closed form: the integer with
+    2(m + 1) = p^2 + q^2 + pq - 1 (p^2 + q^2 + pq is odd for coprime p, q)."""
+    p, q = pair.p, pair.q
+    return (p * p + q * q + p * q - 3) // 2
 
 
 def adapted_pair(pair):
@@ -108,11 +117,10 @@ def adapted_pair(pair):
     The union of the cascades is the signed meander chain, a path on
     1..n; dropping alpha leaves two paths.  h is solved along them in
     O(n) (see `_solve_h_on_paths`), which certifies that the eigenvalue
-    system has exactly one solution.  Also certified: the union has
-    n - 1 roots with exactly one +- simple root among them, and the
-    eigenvalue m of h on x_alpha is the integer with
-    2(m + 1) = p^2 + q^2 + pq - 1.  A failed check raises
-    AdaptedPairError.
+    system has exactly one solution and that it is integral.  Also
+    certified: the union has n - 1 roots with exactly one +- simple root
+    among them, and the eigenvalue m of h on x_alpha is
+    `alpha_eigenvalue(pair)`.  A failed check raises AdaptedPairError.
     """
     p, q, n = pair.p, pair.q, pair.n
     union = rootlab.kostant_cascade(n) | rootlab.levi_cascade(p, q)
@@ -127,11 +135,7 @@ def adapted_pair(pair):
     support = sorted(union - {alpha})
     h = _solve_h_on_paths(support, p, q)
     m = h_eigenvalue(h, alpha)
-    if m.denominator != 1:
-        raise AdaptedPairError("the eigenvalue on x_alpha is not integral: %s" % m)
-    m = int(m)
-    # closed form for the eigenvalue on the dropped root
-    if 2 * (m + 1) != p * p + q * q + p * q - 1:
+    if m != alpha_eigenvalue(pair):
         raise AdaptedPairError("the eigenvalue m = %d on x_alpha breaks the closed form" % m)
     return AdaptedPair(pair=pair, eta_support=tuple(support), alpha=alpha, h=h, m=m)
 
@@ -221,13 +225,12 @@ def certified_rank(m, upper_bound):
 class GradedForm:
     """The skew form S_{jk} = trace(eta [b_j, b_k]) split by ad h weight.
 
-    Weights are integers: h is scaled by `scale`, the least common
-    denominator D of its entries, so `weights[j]` is D times the ad h
-    weight of the basis element b_j.  `position` maps (i, j) to the index
-    of E_ij in the basis.  Since eta has weight -1, S_{jk} can be non-zero
-    only when weights[j] + weights[k] = D, so `blocks` maps each row weight
-    lam to the rows {j: {k: S_jk}} of weight lam, all of whose columns k
-    have weight D - lam; block D - lam is minus the transpose of block lam.
+    h is integral, so `weights[j]`, the ad h weight of the basis element
+    b_j, is an integer.  `position` maps (i, j) to the index of E_ij in the
+    basis.  Since eta has weight -1, S_{jk} can be non-zero only when
+    weights[j] + weights[k] = 1, so `blocks` maps each row weight lam to
+    the rows {j: {k: S_jk}} of weight lam, all of whose columns k have
+    weight 1 - lam; block 1 - lam is minus the transpose of block lam.
     `ranks` maps lam to the exact rank of that block, and rank S is the
     sum of `ranks`.
     """
@@ -236,7 +239,6 @@ class GradedForm:
     position: dict
     blocks: dict
     ranks: dict
-    scale: int
 
     @property
     def dim(self):
@@ -302,18 +304,17 @@ def graded_skew_form(ap):
     pair `ap`, built one row at a time (`_form_row`) and ranked one ad h
     weight block at a time.
 
-    The weights come from the h of `ap`, scaled to integers.  Two checks
-    run on every non-zero entry, so neither is assumed: an entry outside
-    its block V_lam x V_{D-lam} raises ValueError, and so does an entry
-    S_jk that is not minus S_kj.  S is then alternating, so its rank is
-    even and at most d.  The blocks with 2 lam >= D are ranked modulo a
-    prime, each rank doubled except at 2 lam = D (block D - lam is minus
-    the transpose of block lam).  Each modular rank is a lower bound, so
-    when their sum reaches d - 1 (d is odd here) every one of them is
-    exact; otherwise every block is ranked again with Bareiss.
+    The weights come from the integral h of `ap`.  Two checks run on every
+    non-zero entry, so neither is assumed: an entry outside its block
+    V_lam x V_{1-lam} raises ValueError, and so does an entry S_jk that is
+    not minus S_kj.  S is then alternating, so its rank is even and at
+    most d.  The blocks with lam >= 1 are ranked modulo a prime, and each
+    rank is copied to block 1 - lam, minus the transpose of block lam; no
+    block pairs with itself, since 2 lam = 1 has no integer solution.
+    Each modular rank is a lower bound, so when their sum reaches d - 1
+    (d is odd here) every one of them is exact; otherwise every block is
+    ranked again with Bareiss.
     """
-    scale = math.lcm(*(x.denominator for x in ap.h))
-    h = [x.numerator * (scale // x.denominator) for x in ap.h]
     basis = parabolic_basis(ap.pair)
     position = {}
     diagonal = {}  # i -> index of E_ii - E_{i+1,i+1}
@@ -322,7 +323,7 @@ def graded_skew_form(ap):
         if len(b) == 1:
             ((i, j),) = b
             position[(i, j)] = k
-            weights.append(h[i - 1] - h[j - 1])
+            weights.append(h_eigenvalue(ap.h, (i, j)))
         else:  # E_ii - E_{i+1,i+1}
             diagonal[min(i for i, _ in b)] = k
             weights.append(0)
@@ -331,12 +332,10 @@ def graded_skew_form(ap):
     for j, b in enumerate(basis):
         row = _form_row(b, index, position, diagonal)
         lam = weights[j]
-        dual = scale - lam
         for k in row:
-            if weights[k] != dual:
+            if weights[k] != 1 - lam:
                 raise ValueError(
-                    "skew-form entry (%d, %d) has weights %s + %s, not 1"
-                    % (j, k, Fraction(lam, scale), Fraction(weights[k], scale))
+                    "skew-form entry (%d, %d) has weights %d + %d, not 1" % (j, k, lam, weights[k])
                 )
         if row:
             blocks.setdefault(lam, {})[j] = row
@@ -350,16 +349,12 @@ def graded_skew_form(ap):
     d = len(basis)
     ranks = {}
     for lam, rows in blocks.items():
-        if 2 * lam >= scale:
-            ranks[lam] = linalg.rank_mod_prime(rows.values(), _PRIME)
-            if 2 * lam > scale:
-                ranks[scale - lam] = ranks[lam]
+        if lam >= 1:
+            ranks[lam] = ranks[1 - lam] = linalg.rank_mod_prime(rows.values(), _PRIME)
     # rank S is even, so a lower bound reaching d - d % 2 is exact
     if sum(ranks.values()) != d - d % 2:
         ranks = {lam: _block_rank(rows.values()) for lam, rows in blocks.items()}
-    return GradedForm(
-        weights=tuple(weights), position=position, blocks=blocks, ranks=ranks, scale=scale
-    )
+    return GradedForm(weights=tuple(weights), position=position, blocks=blocks, ranks=ranks)
 
 
 def eta_regularity(form):
@@ -396,7 +391,7 @@ def complement_check(form, root):
     rank = form.rank
     k = form.position.get((b, a))
     if k is not None:
-        lam = form.scale - form.weights[k]
+        lam = 1 - form.weights[k]
         rows = list(form.blocks.get(lam, {}).values()) + [{k: 1}]
         base = form.ranks.get(lam, 0)
         if linalg.rank_mod_prime(rows, _PRIME) > base or _block_rank(rows) > base:
@@ -505,9 +500,7 @@ def full_report(pair, with_stabiliser=True):
     modified = set(sc.pi_final)
     regular = path_order_regular(support, sc.order)
     restrict = check_restriction(support, ap)
-    eigen_ok = all(
-        h_eigenvalue(ap.h, r) == Fraction(-1) for r in ap.eta_support
-    ) and all(h_eigenvalue(ap.h, r).denominator == 1 for r in support)
+    eigen_ok = all(h_eigenvalue(ap.h, r) == -1 for r in ap.eta_support)
     report = {
         "pair": (pair.p, pair.q),
         "n": pair.n,

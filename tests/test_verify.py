@@ -14,6 +14,7 @@ from meanderslice.slicebuild import construct
 from meanderslice.verify import (
     AdaptedPairError,
     adapted_pair,
+    alpha_eigenvalue,
     check_regular_nilpotent,
     check_restriction,
     complement_check,
@@ -118,13 +119,13 @@ def test_adapted_pair_1_2():
     ap = adapted_pair(CoprimePair(1, 2))
     assert set(ap.eta_support) == {rootlab.eps_diff(1, 3, 3)}
     assert ap.alpha == rootlab.eps_diff(3, 2, 3)  # minus the second simple root
-    assert ap.h == (Fraction(0), Fraction(-1), Fraction(1))
+    assert ap.h == (0, -1, 1)
     assert ap.m == 2
 
 
 def test_adapted_pair_2_3():
     ap = adapted_pair(CoprimePair(2, 3))
-    assert ap.h == tuple(Fraction(v) for v in (-4, 4, -2, 5, -3))
+    assert ap.h == (-4, 4, -2, 5, -3)
     assert ap.alpha == rootlab.eps_diff(2, 1, 5)
     assert ap.m == 8
 
@@ -138,6 +139,7 @@ def test_adapted_pair_structure_everywhere():
         for beta in ap.eta_support:
             assert h_eigenvalue(ap.h, beta) == -1
         assert 2 * (ap.m + 1) == p * p + q * q + p * q - 1
+        assert alpha_eigenvalue(pair) == ap.m
 
 
 def dense_h_oracle(pair, support):
@@ -158,7 +160,7 @@ def test_adapted_pair_against_dense_solve():
         assert want is not None
         assert len(ap.h) == len(want) == pair.n
         for got, exp in zip(ap.h, want):
-            assert isinstance(got, Fraction) and got == exp
+            assert type(got) is int and got == exp
         assert ap.m == dot(want, dense(ap.alpha, pair.n))
 
 
@@ -174,6 +176,12 @@ def test_path_solve_rejects_degenerate_support():
     with pytest.raises(AdaptedPairError, match="inconsistent"):
         verify._solve_h_on_paths([e(1, 2, 3), e(2, 3, 3), e(1, 3, 3)], 1, 2)
     assert issubclass(AdaptedPairError, ValueError)
+
+
+def test_path_solve_rejects_non_integral_h():
+    # components {1} and {2, 3}: the block traces give h = (0, -1/2, 1/2)
+    with pytest.raises(AdaptedPairError, match="not integral"):
+        verify._solve_h_on_paths([rootlab.eps_diff(2, 3, 3)], 1, 2)
 
 
 def test_adapted_pair_rejects_malformed_union(monkeypatch):
@@ -276,14 +284,13 @@ def test_block_ranks_against_bareiss(monkeypatch):
     # the certificate needed no Bareiss rank
     assert spy.calls == 0
     for form in forms:
-        scale = form.scale
         for lam, rows in form.blocks.items():
             exact = verify._block_rank(rows.values())
             assert linalg.rank_mod_prime(rows.values(), verify._PRIME) == exact
             assert form.ranks[lam] == exact
-            if 2 * lam < scale:
-                partner = form.blocks[scale - lam]
-                assert form.ranks[scale - lam] == exact
+            if lam < 1:
+                partner = form.blocks[1 - lam]
+                assert form.ranks[1 - lam] == exact
                 assert {(j, k): v for j, row in rows.items() for k, v in row.items()} == {
                     (j, k): -v for k, row in partner.items() for j, v in row.items()
                 }
@@ -312,7 +319,7 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
     (j0, k0) = next(
         (j, k)
         for lam, rows in sorted(form.blocks.items())
-        if 2 * lam >= form.scale
+        if lam >= 1
         for j, row in rows.items()
         for k in row
         if len(row) == 1 and column_counts[k] == 1
@@ -342,7 +349,7 @@ def test_zeroed_row_drops_the_rank_through_the_fallback(monkeypatch):
     j0 = next(
         j
         for lam, rows in sorted(form.blocks.items())
-        if sizes[lam] == sizes[form.scale - lam] == form.ranks[lam] and 2 * lam != form.scale
+        if sizes[lam] == sizes[1 - lam] == form.ranks[lam]
         for j in rows
     )
 
@@ -375,22 +382,6 @@ def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
         "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (a, b, b, a)
         for a, b in ((j0, k0), (k0, j0))
     }
-
-
-def test_graded_form_scales_rational_weights():
-    pair = CoprimePair(2, 3)
-    ap = adapted_pair(pair)
-    form = graded_skew_form(ap)
-    assert form.scale == 1 and all(isinstance(w, int) for w in form.weights)
-    # h + 1/2 has the same ad h weights, over the common denominator 2
-    half = graded_skew_form(replace(ap, h=tuple(x + Fraction(1, 2) for x in ap.h)))
-    assert half.scale == 2
-    assert half.weights == tuple(2 * w for w in form.weights)
-    assert half.blocks == {2 * lam: rows for lam, rows in form.blocks.items()}
-    assert half.ranks == {2 * lam: r for lam, r in form.ranks.items()}
-    tampered_h = (ap.h[0] + Fraction(1, 2),) + ap.h[1:]
-    with pytest.raises(ValueError, match=r"/2 \+ .*, not 1|\+ .*/2, not 1"):
-        graded_skew_form(replace(ap, h=tampered_h))
 
 
 def test_graded_form_rejects_entries_off_their_block():
@@ -503,14 +494,6 @@ def test_weyl_permutation():
     assert weyl_permutation(sc) == (2, 1, 3)
     with pytest.raises(ValueError, match="does not conjugate"):
         weyl_permutation(replace(sc, order=(1, 2, 3)))
-
-
-def test_h_integrality_on_support():
-    for pair in coprime_pairs(16):
-        ap = adapted_pair(pair)
-        support = completed_element(construct(pair))
-        for r in support:
-            assert h_eigenvalue(ap.h, r).denominator == 1
 
 
 def test_full_report_witness_pairs():
