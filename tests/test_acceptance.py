@@ -6,6 +6,7 @@ module-level caches.
 """
 
 import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from meanderslice.verify import (
     complement_check,
     completed_element,
     eta_regularity,
+    full_report,
     graded_skew_form,
     h_eigenvalue,
     path_order_regular,
@@ -197,3 +199,16 @@ def test_acceptance_byte_determinism():
     assert a.stdout == b.stdout
     # the v1 report bytes
     assert hashlib.md5(a.stdout).hexdigest() == "2117c94cca1e639a81b1272578ee28d5"
+
+
+# 10. the stabiliser reports beyond the CLI's n <= 20 cap are pinned too:
+#     one sorted-key JSON line of `full_report` per pair with 21 <= n <= 30
+def test_acceptance_full_report_bytes_beyond_the_cli_cap():
+    digest = hashlib.md5()
+    pairs = [pair for pair in PAIRS_30 if pair.n >= 21]
+    for pair in pairs:
+        report = full_report(pair, True)
+        assert report["all_ok"] and report["stabiliser_dim"] == 1
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert len(pairs) == 75
+    assert digest.hexdigest() == "d11436ea7911fbee784011a74a0df4bb"
