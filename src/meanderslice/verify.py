@@ -140,27 +140,48 @@ def adapted_pair(pair):
     return AdaptedPair(pair=pair, eta_support=tuple(support), alpha=alpha, h=h, m=m)
 
 
-def parabolic_basis(pair):
-    """Basis of the truncated two-block parabolic: both traceless diagonal
-    blocks plus the lower-left corner block.  Each element is a sparse
-    dict (row, col) -> coeff, 1-based."""
-    p, n = pair.p, pair.n
-    basis = []
+def basis_layout(pair):
+    """Integer ids for the basis of the truncated two-block parabolic: both
+    traceless diagonal blocks plus the lower-left corner block.
+
+    Returns (elements, position, diagonal).  Id k names elements[k] = (x, y),
+    the unit E_xy when x != y and the Cartan element
+    H_x = E_xx - E_{x+1,x+1} when x == y.  Each diagonal block lists its
+    units row by row and then its H_x; the corner block comes last, row by
+    row.  With w = n + 1, position[x * w + y] is the id of E_xy and
+    diagonal[x] that of H_x; both hold -1 off the basis, so there is no H_0,
+    H_p or H_n.
+    """
+    p, q, n = pair.p, pair.q, pair.n
+    w = n + 1
+    elements = []
+    position = [-1] * (w * w)
+    diagonal = [-1] * w
     for lo, hi in ((1, p), (p + 1, n)):
-        for i in range(lo, hi + 1):
-            for j in range(lo, hi + 1):
-                if i != j:
-                    basis.append({(i, j): 1})
-        for i in range(lo, hi):
-            basis.append({(i, i): 1, (i + 1, i + 1): -1})
-    for i in range(p + 1, n + 1):
-        for j in range(1, p + 1):
-            basis.append({(i, j): 1})
-    q = pair.q
+        for x in range(lo, hi + 1):
+            for y in range(lo, hi + 1):
+                if x != y:
+                    position[x * w + y] = len(elements)
+                    elements.append((x, y))
+        for x in range(lo, hi):
+            diagonal[x] = len(elements)
+            elements.append((x, x))
+    for x in range(p + 1, n + 1):
+        for y in range(1, p + 1):
+            position[x * w + y] = len(elements)
+            elements.append((x, y))
     d = p * p + q * q + p * q - 2
-    if len(basis) != d:
-        raise ValueError("the parabolic basis has %d elements, expected %d" % (len(basis), d))
-    return basis
+    if len(elements) != d:
+        raise ValueError("the parabolic basis has %d elements, expected %d" % (len(elements), d))
+    return elements, position, diagonal
+
+
+def parabolic_basis(pair):
+    """The basis of `basis_layout` in the order of its ids, each element a
+    sparse dict (row, col) -> coeff, 1-based (for the dense oracle
+    `skew_form_matrix`)."""
+    elements, _, _ = basis_layout(pair)
+    return [{(x, y): 1} if x != y else {(x, x): 1, (x + 1, x + 1): -1} for x, y in elements]
 
 
 def _sparse_from_roots(roots):
@@ -225,18 +246,20 @@ def certified_rank(m, upper_bound):
 class GradedForm:
     """The skew form S_{jk} = trace(eta [b_j, b_k]) split by ad h weight.
 
-    h is integral, so `weights[j]`, the ad h weight of the basis element
-    b_j, is an integer.  `position` maps (i, j) to the index of E_ij in the
-    basis.  Since eta has weight -1, S_{jk} can be non-zero only when
-    weights[j] + weights[k] = 1, so `blocks` maps each row weight lam to
-    the rows {j: {k: S_jk}} of weight lam, all of whose columns k have
-    weight 1 - lam; block 1 - lam is minus the transpose of block lam.
-    `ranks` maps lam to the exact rank of that block, and rank S is the
-    sum of `ranks`.
+    j and k are the ids of `basis_layout`.  h is integral, so `weights[j]`,
+    the ad h weight of the basis element b_j, is an integer.
+    `position[x * stride + y]` is the id of E_xy, or -1 when E_xy is not in
+    the truncated parabolic.  Since eta has weight -1, S_{jk} can be
+    non-zero only when weights[j] + weights[k] = 1, so `blocks` maps each
+    row weight lam to the rows {j: {k: S_jk}} of weight lam, all of whose
+    columns k have weight 1 - lam; block 1 - lam is minus the transpose of
+    block lam.  `ranks` maps lam to the exact rank of that block, and
+    rank S is the sum of `ranks`.
     """
 
     weights: tuple
-    position: dict
+    position: list
+    stride: int
     blocks: dict
     ranks: dict
 
@@ -259,50 +282,67 @@ def _block_rank(rows):
     return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
 
 
-def _eta_index(support):
-    """eta = sum of x_beta over `support`, indexed both ways: the columns b
-    of the entries (a, b) in row a, and the rows a of those in column b.
-    On the two paths of the support each list has at most two entries."""
-    by_row, by_col = {}, {}
+def _eta_index(support, size):
+    """eta = sum of x_beta over `support`, indexed both ways as lists of
+    `size`: by_row[a] holds the columns b of the entries (a, b), and
+    by_col[b] the rows a.  On the two paths of the support each list has
+    at most two entries."""
+    by_row = [[] for _ in range(size)]
+    by_col = [[] for _ in range(size)]
     for a, b in support:
-        by_row.setdefault(a, []).append(b)
-        by_col.setdefault(b, []).append(a)
+        by_row[a].append(b)
+        by_col[b].append(a)
     return by_row, by_col
 
 
-def _form_row(b, index, position, diagonal):
-    """Row {k: S_jk} of the skew form for the basis element b = b_j.
+def _add(row, k, v):
+    """row[k] += v, where k = -1 names no basis element."""
+    if k >= 0:
+        row[k] = row.get(k, 0) + v
 
-    S_jk = trace([eta, b_j] b_k) is the (y, x) entry of the commutator for
-    b_k = E_xy, and the difference of its (i, i) and (i+1, i+1) entries for
-    b_k = E_ii - E_{i+1,i+1}.  [eta, E_cd] has +1 at (a, d) for each entry
-    (a, c) of eta and -1 at (c, e) for each entry (d, e), so with `index`
-    from `_eta_index` a row costs O(1).
+
+def _form_row(j, elements, index, position, diagonal):
+    """Row {k: S_jk} of the skew form for the basis element of id j (the
+    lists of `basis_layout`, `index` from `_eta_index`).
+
+    S_jk = trace([eta, b_j] b_k).  [eta, E_cd] has +1 at (a, d) for each
+    entry (a, c) of eta and -1 at (c, e) for each entry (d, e).  An
+    off-diagonal entry (x, y) of the commutator pairs with E_yx, and a
+    diagonal one (x, x) with H_x and, negated, with H_{x-1}.  b_j = H_c is
+    E_cc - E_{c+1,c+1}; eta has no diagonal entry, so neither term of H_c
+    lands on the diagonal.  A row costs O(1), and no two of its terms
+    cancel, so every stored entry is non-zero.
     """
     by_row, by_col = index
+    w = len(diagonal)
+    c, d = elements[j]
     row = {}
-
-    def add(x, y, v):  # the commutator gains v at (x, y)
-        if x != y:
-            targets = ((position.get((y, x)), v),)
-        else:
-            targets = ((diagonal.get(x), v), (diagonal.get(x - 1), -v))
-        for k, w in targets:
-            if k is not None:
-                row[k] = row.get(k, 0) + w
-
-    for (c, d), coeff in b.items():
-        for a in by_col.get(c, ()):
-            add(a, d, coeff)
-        for e in by_row.get(d, ()):
-            add(c, e, -coeff)
-    return {k: v for k, v in row.items() if v}
+    if c != d:
+        for a in by_col[c]:
+            if a != d:
+                _add(row, position[d * w + a], 1)
+            else:
+                _add(row, diagonal[a], 1)
+                _add(row, diagonal[a - 1], -1)
+        for e in by_row[d]:
+            if e != c:
+                _add(row, position[e * w + c], -1)
+            else:
+                _add(row, diagonal[c], -1)
+                _add(row, diagonal[c - 1], 1)
+    else:
+        for x, v in ((c, 1), (c + 1, -1)):
+            for a in by_col[x]:
+                _add(row, position[x * w + a], v)
+            for e in by_row[x]:
+                _add(row, position[e * w + x], -v)
+    return row
 
 
 def graded_skew_form(ap):
     """The skew form of eta = sum of x_beta over the support of the adapted
-    pair `ap`, built one row at a time (`_form_row`) and ranked one ad h
-    weight block at a time.
+    pair `ap`, built one row at a time (`_form_row`) over the integer ids of
+    `basis_layout` and ranked one ad h weight block at a time.
 
     The weights come from the integral h of `ap`.  Two checks run on every
     non-zero entry, so neither is assumed: an entry outside its block
@@ -315,46 +355,44 @@ def graded_skew_form(ap):
     (d is odd here) every one of them is exact; otherwise every block is
     ranked again with Bareiss.
     """
-    basis = parabolic_basis(ap.pair)
-    position = {}
-    diagonal = {}  # i -> index of E_ii - E_{i+1,i+1}
-    weights = []
-    for k, b in enumerate(basis):
-        if len(b) == 1:
-            ((i, j),) = b
-            position[(i, j)] = k
-            weights.append(h_eigenvalue(ap.h, (i, j)))
-        else:  # E_ii - E_{i+1,i+1}
-            diagonal[min(i for i, _ in b)] = k
-            weights.append(0)
-    index = _eta_index(ap.eta_support)
+    elements, position, diagonal = basis_layout(ap.pair)
+    h = ap.h
+    weights = [h[x - 1] - h[y - 1] for x, y in elements]  # 0 on each H_x
+    index = _eta_index(ap.eta_support, len(diagonal))
+    rows = []
     blocks = {}
-    for j, b in enumerate(basis):
-        row = _form_row(b, index, position, diagonal)
+    for j in range(len(elements)):
+        row = _form_row(j, elements, index, position, diagonal)
         lam = weights[j]
         for k in row:
             if weights[k] != 1 - lam:
                 raise ValueError(
                     "skew-form entry (%d, %d) has weights %d + %d, not 1" % (j, k, lam, weights[k])
                 )
+        rows.append(row)
         if row:
             blocks.setdefault(lam, {})[j] = row
-    for rows in blocks.values():
-        for j, row in rows.items():
-            for k, v in row.items():
-                if blocks.get(weights[k], {}).get(k, {}).get(j) != -v:
-                    raise ValueError(
-                        "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
-                    )
-    d = len(basis)
+    for j, row in enumerate(rows):
+        for k, v in row.items():
+            if rows[k].get(j) != -v:
+                raise ValueError(
+                    "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
+                )
+    d = len(elements)
     ranks = {}
-    for lam, rows in blocks.items():
+    for lam, block in blocks.items():
         if lam >= 1:
-            ranks[lam] = ranks[1 - lam] = linalg.rank_mod_prime(rows.values(), _PRIME)
+            ranks[lam] = ranks[1 - lam] = linalg.rank_mod_prime(block.values(), _PRIME)
     # rank S is even, so a lower bound reaching d - d % 2 is exact
     if sum(ranks.values()) != d - d % 2:
-        ranks = {lam: _block_rank(rows.values()) for lam, rows in blocks.items()}
-    return GradedForm(weights=tuple(weights), position=position, blocks=blocks, ranks=ranks)
+        ranks = {lam: _block_rank(block.values()) for lam, block in blocks.items()}
+    return GradedForm(
+        weights=tuple(weights),
+        position=position,
+        stride=len(diagonal),
+        blocks=blocks,
+        ranks=ranks,
+    )
 
 
 def eta_regularity(form):
@@ -382,15 +420,16 @@ def complement_check(form, root):
     alpha for the certificate) span the dual of the truncated parabolic.
 
     The functional of x_r = E_ab is trace(E_ab b_k), non-zero only on
-    b_k = E_ba, of weight -h(r).  Its row joins the block whose columns
-    have that weight, and only that block is ranked again: modulo a prime
-    first, where a gain over the exact block rank is exact; no gain there
-    may be a miss, so it is confirmed with Bareiss.
+    b_k = E_ba, of weight -h(r), and zero on the whole basis when E_ba is
+    not in it (id -1).  Its row joins the block whose columns have that
+    weight, and only that block is ranked again: modulo a prime first,
+    where a gain over the exact block rank is exact; no gain there may be
+    a miss, so it is confirmed with Bareiss.
     """
     a, b = root
     rank = form.rank
-    k = form.position.get((b, a))
-    if k is not None:
+    k = form.position[b * form.stride + a]
+    if k >= 0:
         lam = 1 - form.weights[k]
         rows = list(form.blocks.get(lam, {}).values()) + [{k: 1}]
         base = form.ranks.get(lam, 0)

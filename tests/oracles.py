@@ -16,7 +16,7 @@ compare the two.
 
 from itertools import accumulate, product
 
-from meanderslice import linalg, rootlab
+from meanderslice import linalg, rootlab, verify
 from meanderslice.meander import sigma, tau
 from meanderslice.slicebuild import (
     ChangeEntry,
@@ -172,3 +172,85 @@ def dense_expansion(x, order):
     """Coefficients of x over the path roots e_{c_i} - e_{c_{i+1}}: the
     partial sums of x along the path."""
     return tuple(accumulate(x[v - 1] for v in order[:-1]))
+
+
+# ------------------------------------------------------- graded skew form
+
+
+def dict_parabolic_basis(pair):
+    """The basis of the truncated two-block parabolic in the library's
+    order, one sparse dict (row, col) -> coeff per element: the off-diagonal
+    units and the differences E_ii - E_(i+1)(i+1) of each diagonal block,
+    then the lower-left corner block."""
+    p, n = pair.p, pair.n
+    basis = []
+    for lo, hi in ((1, p), (p + 1, n)):
+        for i in range(lo, hi + 1):
+            for j in range(lo, hi + 1):
+                if i != j:
+                    basis.append({(i, j): 1})
+        for i in range(lo, hi):
+            basis.append({(i, i): 1, (i + 1, i + 1): -1})
+    for i in range(p + 1, n + 1):
+        for j in range(1, p + 1):
+            basis.append({(i, j): 1})
+    return basis
+
+
+def _dict_form_row(b, index, position, diagonal):
+    """Row {k: S_jk} of the skew form for the dict basis element b = b_j:
+    [eta, E_cd] has +1 at (a, d) for each entry (a, c) of eta and -1 at
+    (c, e) for each entry (d, e); its (x, y) entry pairs with E_yx, and a
+    diagonal (x, x) entry with E_xx - E_(x+1)(x+1) and, negated, with
+    E_(x-1)(x-1) - E_xx."""
+    by_row, by_col = index
+    row = {}
+
+    def add(x, y, v):
+        if x != y:
+            targets = ((position.get((y, x)), v),)
+        else:
+            targets = ((diagonal.get(x), v), (diagonal.get(x - 1), -v))
+        for k, w in targets:
+            if k is not None:
+                row[k] = row.get(k, 0) + w
+
+    for (c, d), coeff in b.items():
+        for a in by_col.get(c, ()):
+            add(a, d, coeff)
+        for e in by_row.get(d, ()):
+            add(c, e, -coeff)
+    return {k: v for k, v in row.items() if v}
+
+
+def dict_graded_form(ap):
+    """(weights, blocks, ranks) of the graded skew form of the adapted pair
+    `ap`, built with dicts throughout: one dict per basis element, a dict
+    from (i, j) to the index of E_ij and one row at a time.  Blocks are
+    keyed by row weight; every block is ranked on its own modulo 2^31 - 1,
+    and with Bareiss when the sum falls short of d - 1."""
+    basis = dict_parabolic_basis(ap.pair)
+    position, diagonal, weights = {}, {}, []
+    for k, b in enumerate(basis):
+        if len(b) == 1:
+            ((i, j),) = b
+            position[(i, j)] = k
+            weights.append(ap.h[i - 1] - ap.h[j - 1])
+        else:
+            diagonal[min(i for i, _ in b)] = k
+            weights.append(0)
+    by_row, by_col = {}, {}
+    for a, b in ap.eta_support:
+        by_row.setdefault(a, []).append(b)
+        by_col.setdefault(b, []).append(a)
+    blocks = {}
+    for j, b in enumerate(basis):
+        row = _dict_form_row(b, (by_row, by_col), position, diagonal)
+        if row:
+            blocks.setdefault(weights[j], {})[j] = row
+    ranks = {
+        lam: linalg.rank_mod_prime(rows.values(), verify._PRIME) for lam, rows in blocks.items()
+    }
+    if sum(ranks.values()) != len(basis) - len(basis) % 2:
+        ranks = {lam: verify._block_rank(rows.values()) for lam, rows in blocks.items()}
+    return tuple(weights), blocks, ranks

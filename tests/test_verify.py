@@ -28,7 +28,7 @@ from meanderslice.verify import (
     skew_form_matrix,
     weyl_permutation,
 )
-from oracles import dense, dot
+from oracles import dense, dict_graded_form, dict_parabolic_basis, dot
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -219,6 +219,29 @@ def test_parabolic_basis_rejects_inconsistent_pair():
         parabolic_basis(SimpleNamespace(p=1, q=2, n=4))
 
 
+def test_basis_layout_names_the_parabolic_basis():
+    for pair in coprime_pairs(20):
+        elements, position, diagonal = verify.basis_layout(pair)
+        basis = parabolic_basis(pair)
+        assert basis == dict_parabolic_basis(pair)
+        ap = adapted_pair(pair)
+        form = graded_skew_form(ap)
+        w = pair.n + 1
+        assert form.position == position and form.stride == len(diagonal) == w
+        assert len(elements) == len(basis) == form.dim
+        for k, b in enumerate(basis):
+            x, y = elements[k]
+            if x != y:
+                assert b == {(x, y): 1} and position[x * w + y] == k
+                assert form.weights[k] == h_eigenvalue(ap.h, (x, y))
+            else:
+                assert b == {(x, x): 1, (x + 1, x + 1): -1} and diagonal[x] == k
+                assert form.weights[k] == 0
+        # every id sits in exactly one slot; every other slot holds -1
+        assert sorted(k for k in position + diagonal if k >= 0) == list(range(len(basis)))
+        assert diagonal[0] == diagonal[pair.p] == diagonal[pair.n] == -1
+
+
 def test_eta_regularity_rejects_even_dimension():
     pair = SimpleNamespace(p=2, q=2, n=4)  # not coprime: dim p = 10
     zero = SimpleNamespace(pair=pair, h=(0, 0, 0, 0), eta_support=())
@@ -261,17 +284,28 @@ def test_graded_form_against_dense_oracle():
 
 
 class RankSpy:
-    """Counts the calls of `linalg.rank_int`, the Bareiss fallback."""
+    """Counts the calls of `linalg.rank_int`, the Bareiss fallback, or of
+    another rank function of `linalg` named by `name`."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, name="rank_int"):
         self.calls = 0
-        original = linalg.rank_int
+        original = getattr(linalg, name)
 
-        def spy(rows):
+        def spy(*args):
             self.calls += 1
-            return original(rows)
+            return original(*args)
 
-        monkeypatch.setattr(linalg, "rank_int", spy)
+        monkeypatch.setattr(linalg, name, spy)
+
+
+def test_graded_form_against_dict_oracle():
+    for pair in coprime_pairs(40):
+        ap = adapted_pair(pair)
+        form = graded_skew_form(ap)
+        weights, blocks, ranks = dict_graded_form(ap)
+        assert form.weights == weights
+        assert form.blocks == blocks
+        assert form.ranks == ranks
 
 
 def test_block_ranks_against_bareiss(monkeypatch):
@@ -296,14 +330,14 @@ def test_block_ranks_against_bareiss(monkeypatch):
                 }
 
 
-def mutated_form(monkeypatch, pair, ap, mutate):
-    """graded_skew_form with `mutate(j, row)` applied to each built row."""
-    basis = verify.parabolic_basis(pair)
+def mutated_form(monkeypatch, ap, mutate):
+    """graded_skew_form with `mutate(j, row)` applied to the built row of
+    each basis id j."""
     build = verify._form_row
 
-    def form_row(b, *args):
-        row = build(b, *args)
-        mutate(basis.index(b), row)
+    def form_row(j, *args):
+        row = build(j, *args)
+        mutate(j, row)
         return row
 
     monkeypatch.setattr(verify, "_form_row", form_row)
@@ -331,7 +365,7 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
                 row[b] *= verify._PRIME
 
     spy = RankSpy(monkeypatch)
-    mutated = mutated_form(monkeypatch, pair, ap, scale_entry)
+    mutated = mutated_form(monkeypatch, ap, scale_entry)
     modular = sum(
         linalg.rank_mod_prime(rows.values(), verify._PRIME) for rows in mutated.blocks.values()
     )
@@ -359,7 +393,7 @@ def test_zeroed_row_drops_the_rank_through_the_fallback(monkeypatch):
         row.pop(j0, None)
 
     spy = RankSpy(monkeypatch)
-    mutated = mutated_form(monkeypatch, pair, ap, zero_row_and_column)
+    mutated = mutated_form(monkeypatch, ap, zero_row_and_column)
     assert spy.calls == len(mutated.blocks)
     assert eta_regularity(mutated)["stabiliser_dim"] == 3
 
@@ -376,7 +410,7 @@ def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
             row[k0] += 1
 
     with pytest.raises(ValueError, match="do not alternate") as info:
-        mutated_form(monkeypatch, pair, ap, tamper)
+        mutated_form(monkeypatch, ap, tamper)
     # the first entry checked may be either of the two
     assert str(info.value) in {
         "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (a, b, b, a)
@@ -409,6 +443,18 @@ def test_complement_check(monkeypatch):
             assert not complement_check(form, beta)
         # a modular rank can miss, so each False is confirmed with Bareiss
         assert spy.calls == before + len(ap.eta_support)
+
+
+def test_complement_check_of_a_root_outside_the_dual(monkeypatch):
+    # (p + 1, 1) lies in the lower-left corner, so its transpose E_{1,p+1}
+    # is not in p: its functional is zero and nothing is ranked
+    forms = [(pair, graded_skew_form(adapted_pair(pair))) for pair in coprime_pairs(14)]
+    bareiss = RankSpy(monkeypatch)
+    modular = RankSpy(monkeypatch, "rank_mod_prime")
+    for pair, form in forms:
+        assert form.position[1 * form.stride + pair.p + 1] == -1
+        assert not complement_check(form, (pair.p + 1, 1))
+    assert bareiss.calls == modular.calls == 0
 
 
 # --- completed element ----------------------------------------------------
