@@ -246,15 +246,12 @@ def certified_rank(m, upper_bound):
 class GradedForm:
     """The skew form S_{jk} = trace(eta [b_j, b_k]) split by ad h weight.
 
-    j and k are the ids of `basis_layout`.  h is integral, so `weights[j]`,
-    the ad h weight of the basis element b_j, is an integer.
-    `position[x * stride + y]` is the id of E_xy, or -1 when E_xy is not in
-    the truncated parabolic.  Since eta has weight -1, S_{jk} can be
-    non-zero only when weights[j] + weights[k] = 1, so `blocks` maps each
-    row weight lam to the rows {j: {k: S_jk}} of weight lam, all of whose
-    columns k have weight 1 - lam; block 1 - lam is minus the transpose of
-    block lam.  `ranks` maps lam to the exact rank of that block, and
-    rank S is the sum of `ranks`.
+    j and k are the ids of `basis_layout`, and `weights[j]` is the integer
+    ad h weight of b_j.  `position[x * stride + y]` is the id of E_xy, or -1
+    off the truncated parabolic.  eta has weight -1, so `blocks` maps each
+    row weight lam to the rows {j: {k: S_jk}} of weight lam, whose columns
+    all have weight 1 - lam.  `ranks` maps lam to the exact rank of that
+    block, and rank S is their sum.
     """
 
     weights: tuple
@@ -277,9 +274,20 @@ _PRIME = 2**31 - 1
 
 
 def _block_rank(rows):
-    """Exact (Bareiss) rank of sparse rows {column: value}."""
-    cols = sorted({k for row in rows for k in row})
-    return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
+    """Exact rank of one block of sparse rows {column: value}.
+
+    Its rank modulo `_PRIME` is a lower bound (a minor that is non-zero mod
+    a prime is non-zero), and its numbers of rows and of distinct columns
+    are upper bounds, so a modular rank that meets either count is exact
+    for this block alone.  Any other block is ranked by Bareiss elimination.
+    """
+    rows = list(rows)
+    rank = linalg.rank_mod_prime(rows, _PRIME)
+    if rank < len(rows):
+        cols = {k for row in rows for k in row}
+        if rank < len(cols):
+            return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
+    return rank
 
 
 def _eta_index(support, size):
@@ -347,13 +355,10 @@ def graded_skew_form(ap):
     The weights come from the integral h of `ap`.  Two checks run on every
     non-zero entry, so neither is assumed: an entry outside its block
     V_lam x V_{1-lam} raises ValueError, and so does an entry S_jk that is
-    not minus S_kj.  S is then alternating, so its rank is even and at
-    most d.  The blocks with lam >= 1 are ranked modulo a prime, and each
-    rank is copied to block 1 - lam, minus the transpose of block lam; no
-    block pairs with itself, since 2 lam = 1 has no integer solution.
-    Each modular rank is a lower bound, so when their sum reaches d - 1
-    (d is odd here) every one of them is exact; otherwise every block is
-    ranked again with Bareiss.
+    not minus S_kj.  Block 1 - lam is then minus the transpose of block
+    lam, so only the blocks with lam >= 1 are ranked (`_block_rank`), and
+    each rank is copied to block 1 - lam; no block pairs with itself, since
+    2 lam = 1 has no integer solution.
     """
     elements, position, diagonal = basis_layout(ap.pair)
     h = ap.h
@@ -378,14 +383,10 @@ def graded_skew_form(ap):
                 raise ValueError(
                     "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
                 )
-    d = len(elements)
     ranks = {}
     for lam, block in blocks.items():
         if lam >= 1:
-            ranks[lam] = ranks[1 - lam] = linalg.rank_mod_prime(block.values(), _PRIME)
-    # rank S is even, so a lower bound reaching d - d % 2 is exact
-    if sum(ranks.values()) != d - d % 2:
-        ranks = {lam: _block_rank(block.values()) for lam, block in blocks.items()}
+            ranks[lam] = ranks[1 - lam] = _block_rank(block.values())
     return GradedForm(
         weights=tuple(weights),
         position=position,
@@ -422,9 +423,7 @@ def complement_check(form, root):
     The functional of x_r = E_ab is trace(E_ab b_k), non-zero only on
     b_k = E_ba, of weight -h(r), and zero on the whole basis when E_ba is
     not in it (id -1).  Its row joins the block whose columns have that
-    weight, and only that block is ranked again: modulo a prime first,
-    where a gain over the exact block rank is exact; no gain there may be
-    a miss, so it is confirmed with Bareiss.
+    weight, and only that block is ranked again (`_block_rank`).
     """
     a, b = root
     rank = form.rank
@@ -432,8 +431,7 @@ def complement_check(form, root):
     if k >= 0:
         lam = 1 - form.weights[k]
         rows = list(form.blocks.get(lam, {}).values()) + [{k: 1}]
-        base = form.ranks.get(lam, 0)
-        if linalg.rank_mod_prime(rows, _PRIME) > base or _block_rank(rows) > base:
+        if _block_rank(rows) > form.ranks.get(lam, 0):
             rank += 1
     return rank == form.dim
 

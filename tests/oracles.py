@@ -223,12 +223,22 @@ def _dict_form_row(b, index, position, diagonal):
     return {k: v for k, v in row.items() if v}
 
 
+def dense_block_rank(rows):
+    """Bareiss rank of sparse rows {column: value}, written out densely over
+    their columns: the exact rank with no modular step."""
+    rows = list(rows)
+    cols = sorted({k for row in rows for k in row})
+    return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
+
+
 def dict_graded_form(ap):
     """(weights, blocks, ranks) of the graded skew form of the adapted pair
     `ap`, built with dicts throughout: one dict per basis element, a dict
     from (i, j) to the index of E_ij and one row at a time.  Blocks are
     keyed by row weight; every block is ranked on its own modulo 2^31 - 1,
-    and with Bareiss when the sum falls short of d - 1."""
+    and the form is alternating, so its rank is even: a sum of d - 1 (d is
+    odd) makes every modular rank exact.  Otherwise every block is ranked
+    with `dense_block_rank`."""
     basis = dict_parabolic_basis(ap.pair)
     position, diagonal, weights = {}, {}, []
     for k, b in enumerate(basis):
@@ -252,5 +262,5 @@ def dict_graded_form(ap):
         lam: linalg.rank_mod_prime(rows.values(), verify._PRIME) for lam, rows in blocks.items()
     }
     if sum(ranks.values()) != len(basis) - len(basis) % 2:
-        ranks = {lam: verify._block_rank(rows.values()) for lam, rows in blocks.items()}
+        ranks = {lam: dense_block_rank(rows.values()) for lam, rows in blocks.items()}
     return tuple(weights), blocks, ranks

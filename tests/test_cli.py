@@ -357,3 +357,11 @@ def test_invalid_jobs_env():
 
     env = dict(os.environ, SLICE_JOBS="many")
     assert run_cli("verify", "2", "3", env=env).returncode == 2
+
+
+def test_jobs_env_overrides_the_flag():
+    import os
+
+    # SLICE_JOBS, when set, replaces --jobs before the flag is checked
+    env = dict(os.environ, SLICE_JOBS="2")
+    assert run_cli("verify", "--max-n", "5", "--jobs", "0", env=env).returncode == 0

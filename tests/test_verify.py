@@ -28,7 +28,7 @@ from meanderslice.verify import (
     skew_form_matrix,
     weyl_permutation,
 )
-from oracles import dense, dict_graded_form, dict_parabolic_basis, dot
+from oracles import dense, dense_block_rank, dict_graded_form, dict_parabolic_basis, dot
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -308,18 +308,38 @@ def test_graded_form_against_dict_oracle():
         assert form.ranks == ranks
 
 
+def complement_rows(form, root):
+    """The rows that `complement_check` ranks for x_root: the block whose
+    columns have the weight of E_ba, plus the functional row of x_root."""
+    a, b = root
+    k = form.position[b * form.stride + a]
+    lam = 1 - form.weights[k]
+    return lam, list(form.blocks.get(lam, {}).values()) + [{k: 1}]
+
+
+def dimension_bound(rows):
+    return min(len(rows), len({k for row in rows for k in row}))
+
+
 def test_block_ranks_against_bareiss(monkeypatch):
     spy = RankSpy(monkeypatch)
     forms = []
     for pair in coprime_pairs(30):
         ap = adapted_pair(pair)
-        forms.append(graded_skew_form(ap))
-        assert complement_check(forms[-1], ap.alpha)
+        form = graded_skew_form(ap)
+        forms.append(form)
+        assert complement_check(form, ap.alpha)
+        # each ranked block, and the block x_alpha joins, meets its bound
+        for lam, rows in form.blocks.items():
+            if lam >= 1:
+                assert form.ranks[lam] == dimension_bound(rows.values())
+        lam, rows = complement_rows(form, ap.alpha)
+        assert form.ranks.get(lam, 0) + 1 == dimension_bound(rows)
     # the certificate needed no Bareiss rank
     assert spy.calls == 0
     for form in forms:
         for lam, rows in form.blocks.items():
-            exact = verify._block_rank(rows.values())
+            exact = dense_block_rank(rows.values())
             assert linalg.rank_mod_prime(rows.values(), verify._PRIME) == exact
             assert form.ranks[lam] == exact
             if lam < 1:
@@ -344,6 +364,19 @@ def mutated_form(monkeypatch, ap, mutate):
     return graded_skew_form(ap)
 
 
+def scaled_by_prime(j0, k0):
+    """A `mutated_form` mutation: S_j0k0 and S_k0j0 times `_PRIME`.  On an
+    entry alone in its row and in its column this scales a row, so the
+    rank over Q is unchanged, while the rank modulo the prime drops by 1."""
+
+    def scale_entry(j, row):
+        for a, b in ((j0, k0), (k0, j0)):
+            if j == a:
+                row[b] *= verify._PRIME
+
+    return scale_entry
+
+
 def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
     pair = CoprimePair(3, 4)
     ap = adapted_pair(pair)
@@ -359,22 +392,18 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
         if len(row) == 1 and column_counts[k] == 1
     )
 
-    def scale_entry(j, row):  # scaling a lone entry scales its row: rank unchanged
-        for a, b in ((j0, k0), (k0, j0)):
-            if j == a:
-                row[b] *= verify._PRIME
-
     spy = RankSpy(monkeypatch)
-    mutated = mutated_form(monkeypatch, ap, scale_entry)
+    mutated = mutated_form(monkeypatch, ap, scaled_by_prime(j0, k0))
     modular = sum(
         linalg.rank_mod_prime(rows.values(), verify._PRIME) for rows in mutated.blocks.values()
     )
     assert modular < form.dim - 1
-    assert spy.calls == len(mutated.blocks)
+    # only the tampered block falls short of its bound
+    assert spy.calls == 1
     assert eta_regularity(mutated)["stabiliser_dim"] == 1
 
 
-def test_zeroed_row_drops_the_rank_through_the_fallback(monkeypatch):
+def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
     pair = CoprimePair(3, 4)
     ap = adapted_pair(pair)
     form = graded_skew_form(ap)
@@ -394,7 +423,8 @@ def test_zeroed_row_drops_the_rank_through_the_fallback(monkeypatch):
 
     spy = RankSpy(monkeypatch)
     mutated = mutated_form(monkeypatch, ap, zero_row_and_column)
-    assert spy.calls == len(mutated.blocks)
+    # the lost row or column lowers the bound with the rank: no Bareiss
+    assert spy.calls == 0
     assert eta_regularity(mutated)["stabiliser_dim"] == 3
 
 
@@ -441,8 +471,28 @@ def test_complement_check(monkeypatch):
         # any eta-support root lies in the coadjoint image: rank cannot close
         for beta in ap.eta_support:
             assert not complement_check(form, beta)
-        # a modular rank can miss, so each False is confirmed with Bareiss
-        assert spy.calls == before + len(ap.eta_support)
+        # each False is certified by the block's bound too
+        assert spy.calls == before
+
+
+def test_scaled_entry_reaches_the_complement_fallback(monkeypatch):
+    pair = CoprimePair(3, 7)
+    ap = adapted_pair(pair)
+    form = graded_skew_form(ap)
+    lam, rows = complement_rows(form, ap.alpha)
+    column_counts = Counter(c for row in rows for c in row)
+    # an entry alone in its row and in its column of the block x_alpha joins
+    (j0, k0) = next(
+        (j, c)
+        for j, row in form.blocks[lam].items()
+        for c in row
+        if len(row) == 1 and column_counts[c] == 1
+    )
+
+    mutated = mutated_form(monkeypatch, ap, scaled_by_prime(j0, k0))
+    spy = RankSpy(monkeypatch)
+    assert complement_check(mutated, ap.alpha)
+    assert spy.calls == 1
 
 
 def test_complement_check_of_a_root_outside_the_dual(monkeypatch):
