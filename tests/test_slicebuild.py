@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -213,6 +214,25 @@ def test_reanchoring_off_a_non_root_is_a_rule_error():
     # e_1 - e_2 minus e_3 - e_4 is not a root
     with pytest.raises(ConstructionRuleError, match="re-anchored beta_1 is not a root"):
         slicebuild._reanchor(((1, 2),), ((3, 4),), 1, 1)
+
+
+def test_ledger_bytes_pinned_to_n_140():
+    # every ledger field, dicts in insertion order, one repr line per pair
+    digest = hashlib.md5()
+    pairs = coprime_pairs(140)
+    for pair in pairs:
+        ledger = construct(pair).ledger
+        row = (
+            (pair.p, pair.q),
+            [(i, e.span, e.case, e.added) for i, e in ledger.entries.items()],
+            list(ledger.chi.items()),
+            ledger.undecided,
+            list(ledger.fix_entries.items()),
+            ledger.beta_final,
+        )
+        digest.update(repr(row).encode() + b"\n")
+    assert len(pairs) == 2999
+    assert digest.hexdigest() == "fc9f1eb1f0d3691aeeb0d4a55f28a646"
 
 
 # --- triangularity --------------------------------------------------------
