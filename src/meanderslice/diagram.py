@@ -14,16 +14,14 @@ def ascii_diagram(sc):
     tr = sc.traversal
     n = td.pair.n
     changed = set(sc.changed)
-    posmap = dict(zip(td.positions, range(len(td.positions))))
     lines = [
         "meander (%d,%d)  n=%d  sg=%s  mode=%s"
         % (td.pair.p, td.pair.q, n, sc.sig.as_string() or "(empty)", sc.construction_mode)
     ]
     for i in range(1, n + 1):
         tag = ""
-        if i in posmap:
-            k = posmap[i]
-            tag = "  %s[%d]" % (td.tags[k], td.labels[k])
+        if i in td.label_of:
+            tag = "  %s[%d]" % (td.tag_at(i), td.label_of[i])
         lines.append("%3d: o %-3d%s" % (i, tr.phi[i - 1], tag))
         if i < n:
             a, b = td.betas[i - 1]
@@ -54,7 +52,6 @@ def svg_diagram(sc):
     x0 = 120
     height = step * (n + 1)
     width = 360
-    posmap = dict(zip(td.positions, range(len(td.positions))))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -93,11 +90,10 @@ def svg_diagram(sc):
         parts.append(
             '<text x="%d" y="%d" font-size="14">%d</text>' % (x0 - 40, y(i) + 5, tr.phi[i - 1])
         )
-        if i in posmap:
-            k = posmap[i]
+        if i in td.label_of:
             parts.append(
                 '<text x="%d" y="%d" font-size="14">%s[%d]</text>'
-                % (x0 + 60, y(i) + 5, td.tags[k], td.labels[k])
+                % (x0 + 60, y(i) + 5, td.tag_at(i), td.label_of[i])
             )
         if i < n and i in changed:
             parts.append(

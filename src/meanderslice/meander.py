@@ -119,6 +119,7 @@ class TurningData:
     positions: tuple  # strictly increasing positions t with phi(t) turning
     tags: tuple  # "A" or "B" per position
     labels: tuple  # consecutive ints; odd labels are the A side
+    label_of: dict  # turning position -> its label
     eps: tuple  # eps[i-1] in {+1,-1} for i in 1..n-1
     nil: tuple  # nil[i-1]: a_p shows up in beta_i
     boundary: tuple
@@ -127,10 +128,10 @@ class TurningData:
     m: int  # the even member of {p, 2p+q, n}
 
     def tag_at(self, t):
-        return self.tags[self.positions.index(t)]
+        return "A" if self.label_of[t] % 2 else "B"
 
     def label_at(self, t):
-        return self.labels[self.positions.index(t)]
+        return self.label_of[t]
 
 
 def turning_data(tr):
@@ -165,9 +166,9 @@ def turning_data(tr):
         raise MeanderError("a chain value lies outside every turning interval")
 
     nil = tuple(rootlab.alpha_p_coefficient(b, p) != 0 for b in betas)
-    turning = set(positions)
-    boundary = tuple(i in turning or i + 1 in turning for i in range(1, n))
-    isolated = tuple(i in turning and i + 1 in turning for i in range(1, n))
+    label_of = dict(zip(positions, labels))
+    boundary = tuple(i in label_of or i + 1 in label_of for i in range(1, n))
+    isolated = tuple(i in label_of and i + 1 in label_of for i in range(1, n))
     for i in range(n - 1):
         if isolated[i] and not nil[i]:
             raise MeanderError("an isolated value must be nil")
@@ -190,6 +191,7 @@ def turning_data(tr):
         positions=positions,
         tags=tags,
         labels=labels,
+        label_of=label_of,
         eps=tuple(eps),
         nil=nil,
         boundary=boundary,

@@ -4,8 +4,11 @@ Starting from the chain beta_1..beta_{n-1} of the traversal, selected
 boundary values are changed by adding interval values so that the signed
 list eps_i * beta'_i becomes a directed Hamiltonian path again, with every
 changed value contributing the p-th simple root with coefficient -1.
-A deterministic rule engine performs the changes from the signature, and a
-checker certifies the result.  When the exceptional value is left unchanged
+A deterministic rule engine performs the changes from the signature in
+one pass over the A turning points: the sign of a point picks the side it
+changes, and the first sign of the signature picks which point of a
++ -> - change reaches across the neighbouring run.  A checker certifies
+the result.  When the exceptional value is left unchanged
 a local repair step replaces it by the negative of an interval value.  A
 result the checker rejects raises ConstructionFailed.
 """
@@ -27,13 +30,9 @@ class ConstructionRuleError(ConstructionFailed):
 
 
 def interval_value(td, s, t):
-    """The root e_{phi(s)} - e_{phi(t)} between two distinct turning
-    positions, with s < t whichever order they are given in."""
-    if s > t:
-        s, t = t, s
-    posset = set(td.positions)
-    if s == t or s not in posset or t not in posset:
-        raise ValueError("(%d,%d) are not distinct turning positions" % (s, t))
+    """The root e_{phi(s)} - e_{phi(t)} between turning positions s < t."""
+    if not s < t or s not in td.label_of or t not in td.label_of:
+        raise ValueError("(%d,%d) are not turning positions in order" % (s, t))
     phi = td.traversal.phi
     return rootlab.eps_diff(phi[s - 1], phi[t - 1], td.pair.n)
 
@@ -42,7 +41,7 @@ def interval_value(td, s, t):
 class ChangeEntry:
     index: int  # the changed value beta_index
     span: tuple  # (s, t) turning positions of the added interval value
-    case: str  # adjacent | compound | compound-short | isolated-swap | tail
+    case: str  # adjacent | compound | compound-short | isolated-swap
     added: tuple  # the added root
 
 
@@ -56,41 +55,36 @@ class ChangeLedger:
     beta_final: tuple = None  # values after the repair step (or beta_prime)
 
 
-def _prev_pos(td, t):
-    return td.positions[td.positions.index(t) - 1]
-
-
-def _next_pos(td, t):
-    return td.positions[td.positions.index(t) + 1]
-
-
 def build_pi_star(td, sig):
     """Apply the signature-driven change rules; returns a ChangeLedger.
 
+    One pass over the A turning points in walk order.  The sign picks the
+    side: a + point changes the value above it by the interval value to
+    the next turning point, a - point the value below it by the interval
+    value from the previous one.  The first sign picks which point of a
+    + -> - change reaches across a run: after a + start the last + point
+    before a - run reaches forward past that run, after a - start the
+    first - point after a + run reaches back past it.  Each change induces
+    the matched change at the other end of its interval.
+
     Raises ConstructionRuleError whenever an internal consistency rule is
     violated (a nil value selected, a turning point served twice, a
-    changed value not elementary with p-th coefficient -1, ...).
+    changed value not elementary with p-th coefficient -1, a signature
+    that starts with - and ends with +, ...).
     """
     p, n = td.pair.p, td.pair.n
-    pos = td.positions
-    pos_of = dict(zip(td.labels, pos))
+    pos_of = dict(zip(td.labels, td.positions))
     betas = td.betas
-    J = len(sig.full)
-    runs = sig.changes
-    r = len(runs)
-    internal = set(pos[1:-1])
+    full, first = sig.full, sig.first_sign
+    J = len(full)
+    later = dict(zip(sig.changes, sig.changes[1:]))  # run start -> next run start
+    earlier = {b: a for a, b in later.items()}
+    if first == -1 and full[-1] == 1:
+        raise ConstructionRuleError("the signature starts with - and ends with +")
 
     instructions = {}  # index -> (span, case)
     covered = {}  # turning position -> index changed on its behalf
     chi = {}
-
-    def a_pos(j):
-        return pos_of[2 * j - 1]
-
-    def run_bounds(u):
-        j0 = runs[u - 1]
-        j1 = runs[u] - 1 if u < r else J
-        return j0, j1
 
     def add_instr(idx, span, case, turn):
         if not 1 <= idx <= n - 1:
@@ -122,10 +116,8 @@ def build_pi_star(td, sig):
                 raise ConstructionRuleError(
                     "isolated value met a compound change at position %d" % t_b
                 )
-            if w == t_b:
-                span = (_prev_pos(td, t_b), t_b)
-            else:
-                span = (t_b, _next_pos(td, t_b))
+            lab = td.label_of[t_b]
+            span = (pos_of[lab - 1], t_b) if w == t_b else (t_b, pos_of[lab + 1])
             add_instr(w, span, "isolated-swap", t_b)
         elif compound_span is not None:
             add_instr(wprime, compound_span, "compound-short" if short else "compound", t_b)
@@ -133,108 +125,55 @@ def build_pi_star(td, sig):
             span = (t_src, t_b) if wprime == t_b else (t_b, t_src)
             add_instr(wprime, span, "adjacent", t_b)
 
-    if sig.first_sign == 1:
-        for u in range(1, r + 1, 2):
-            j0, j1 = run_bounds(u)
-            k = runs[u] if u < r else None
-            l = runs[u + 1] if u + 1 < r else None
-            for jj in range(j0, j1 + 1):
-                t = a_pos(jj)
-                if k is not None and jj == k - 1:
-                    # last positive point of the run reaches past the
-                    # negative run that follows
-                    s_pos = pos_of[2 * l - 2] if l is not None else n
-                    span = (t, s_pos)
-                    if t > 1:
-                        add_instr(t - 1, span, "compound", t)
-                        chi[t] = s_pos
-                    iso1 = pos_of[2 * k - 2] == pos_of[2 * k - 3] + 1
-                    if l is not None:
-                        short_span = (pos_of[2 * k - 1], s_pos)
-                        partner(
-                            t,
-                            s_pos,
-                            compound_span=short_span if iso1 else span,
-                            short=iso1,
-                        )
-                else:
-                    if t == 1:
-                        continue  # the starting end point takes no change
-                    nxt = _next_pos(td, t)
-                    add_instr(t - 1, (t, nxt), "adjacent", t)
-                    chi[t] = nxt
-                    partner(t, nxt)
-            if k is not None:
-                j0n, j1n = run_bounds(u + 1)
-                for jj in range(j0n, j1n + 1):
-                    t = a_pos(jj)
-                    prv = _prev_pos(td, t)
-                    add_instr(t, (prv, t), "adjacent", t)
-                    chi[t] = prv
-                    partner(t, prv)
-        if p % 2 == 1:
-            if J >= 2 and sig.full[1] == 1:
-                # the point matched from the starting end still changes
-                t2 = pos_of[2]
-                add_instr(t2, (pos_of[1], t2), "adjacent", t2)
-                undecided = (t2, "changed-from-start")
-            elif J >= 2:
-                l = runs[2] if r > 2 else None
-                d_pos = pos_of[2 * l - 2] if l is not None else n
-                undecided = (d_pos, "compound-partner" if l is not None else "finishing-end")
-            else:
-                undecided = (pos_of[2], "finishing-end")
+    for j in range(1, J + 1):
+        t = pos_of[2 * j - 1]
+        if full[j - 1] == 1:
+            if first == 1 and j < J and full[j] == -1:
+                # the last + point before a - run reaches forward past it
+                l = later.get(j + 1)
+                s = pos_of[2 * l - 2] if l is not None else n
+                if t > 1:
+                    add_instr(t - 1, (t, s), "compound", t)
+                    chi[t] = s
+                if l is not None:
+                    short = pos_of[2 * j] == t + 1
+                    partner(t, s, (pos_of[2 * j + 1], s) if short else (t, s), short)
+            elif t > 1:  # the starting end point takes no change
+                s = pos_of[2 * j]
+                add_instr(t - 1, (t, s), "adjacent", t)
+                chi[t] = s
+                partner(t, s)
+        elif first == -1 and j > 1 and full[j - 2] == 1:
+            # the first - point after a + run reaches back past it
+            s = pos_of[2 * earlier[j] - 2]
+            add_instr(t, (s, t), "compound", t)
+            chi[t] = s
+            short = pos_of[2 * j - 2] == t - 1
+            partner(t, s, (s, pos_of[2 * j - 3]) if short else (s, t), short)
         else:
-            undecided = (1, "starting-end")
-    else:
-        tail = None
-        for u in range(1, r + 1, 2):
-            j0, j1 = run_bounds(u)
-            k = runs[u] if u < r else None
-            l = runs[u + 1] if u + 1 < r else None
-            for jj in range(j0, j1 + 1):
-                if u >= 3 and jj == j0:
-                    continue  # already served by the long change of the previous block
-                t = a_pos(jj)
-                prv = _prev_pos(td, t)
-                add_instr(t, (prv, t), "adjacent", t)
-                chi[t] = prv
-                partner(t, prv)
-            if k is None:
-                continue
-            j0p, j1p = run_bounds(u + 1)
-            for jj in range(j0p, j1p + 1):
-                t = a_pos(jj)
-                nxt = _next_pos(td, t)
-                add_instr(t - 1, (t, nxt), "adjacent", t)
-                chi[t] = nxt
-                partner(t, nxt)
-            if l is not None:
-                # first negative point after the positive run reaches back
-                # past it
-                t_a = a_pos(l)
-                s_pos = pos_of[2 * k - 2]
-                span = (s_pos, t_a)
-                add_instr(t_a, span, "compound", t_a)
-                chi[t_a] = s_pos
-                iso1 = pos_of[2 * l - 1] == pos_of[2 * l - 2] + 1
-                short_span = (s_pos, pos_of[2 * l - 3])
-                partner(
-                    t_a,
-                    s_pos,
-                    compound_span=short_span if iso1 else span,
-                    short=iso1,
-                )
-            else:
-                # trailing positive run: its entry point keeps the value
-                # below it and changes the value above by a long interval
-                t_d = pos_of[2 * k - 2]
-                s_a = a_pos(J)
-                add_instr(t_d - 1, (t_d, s_a), "tail", t_d)
-                tail = t_d
-        undecided = (tail, "tail") if tail is not None else (n, "finishing-end")
+            s = pos_of[2 * j - 2]
+            add_instr(t, (s, t), "adjacent", t)
+            chi[t] = s
+            partner(t, s)
 
-    missing = [t for t in internal if t not in covered]
+    if p % 2 == 1:
+        if J >= 2 and full[1] == 1:
+            # the point matched from the starting end still changes
+            t2 = pos_of[2]
+            add_instr(t2, (pos_of[1], t2), "adjacent", t2)
+            undecided = (t2, "changed-from-start")
+        elif J >= 2:
+            l = later.get(2)
+            d_pos = pos_of[2 * l - 2] if l is not None else n
+            undecided = (d_pos, "compound-partner" if l is not None else "finishing-end")
+        else:
+            undecided = (pos_of[2], "finishing-end")
+    elif first == 1:
+        undecided = (1, "starting-end")
+    else:
+        undecided = (n, "finishing-end")
+
+    missing = [t for t in td.positions[1:-1] if t not in covered]
     if missing:
         raise ConstructionRuleError("no change at turning positions %r" % missing)
 
@@ -321,8 +260,7 @@ def exceptional_fix(td, ledger):
     """
     e, n = td.e, td.pair.n
     betas = td.betas
-    posset = set(td.positions)
-    anchors = [t for t in (e, e + 1) if t in posset]
+    anchors = [t for t in (e, e + 1) if t in td.label_of]
     if len(anchors) != 1:
         raise ConstructionRuleError("exceptional value without a unique turning point")
     t0 = anchors[0]
@@ -331,19 +269,12 @@ def exceptional_fix(td, ledger):
     bp = list(ledger.beta_prime)
     fixes = {}
     if t0 in (1, n):
-        s = _next_pos(td, 1) if t0 == 1 else _prev_pos(td, n)
-        if td.tag_at(s) != "A":
-            raise ConstructionRuleError("closest turning point is not on the A side")
-        lo, hi = (t0, s) if t0 < s else (s, t0)
-        iv = interval_value(td, lo, hi)
-        nil_idx = s - 1 if (s >= 2 and td.nil[s - 2]) else s
-        in_support = lo <= nil_idx < hi
-        second = None
-        if 2 <= s <= n - 1:
-            second = s if nil_idx == s - 1 else s - 1
-        if in_support and second is not None:
-            fixes[second] = _reanchor(bp, betas, second, e)
-        fixes[e] = rootlab.neg(iv)
+        # only p = 1 anchors at an end; its turning points are 1 and n
+        if td.pair.p != 1:
+            raise ConstructionRuleError(
+                "exceptional anchor at the end point %d with p = %d" % (t0, td.pair.p)
+            )
+        fixes[e] = rootlab.neg(interval_value(td, 1, n))
     else:
         f = t0 - 1 if t0 - 1 != e else t0
         if f not in ledger.entries:

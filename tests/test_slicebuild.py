@@ -4,12 +4,20 @@ from dataclasses import replace
 import pytest
 
 from meanderslice import rootlab, slicebuild
-from meanderslice.meander import CoprimePair, beta_sequence, coprime_pairs, traversal, turning_data
+from meanderslice.meander import (
+    CoprimePair,
+    beta_sequence,
+    coprime_pairs,
+    signature,
+    traversal,
+    turning_data,
+)
 from meanderslice.slicebuild import (
     ConstructionFailed,
     ConstructionRuleError,
     check_conditions,
     construct,
+    exceptional_fix,
     interval_value,
     triangularity_order,
 )
@@ -40,6 +48,8 @@ def test_interval_value_requires_turning_positions():
         interval_value(td, 1, 3)
     with pytest.raises(ValueError):
         interval_value(td, 2, 2)
+    with pytest.raises(ValueError):
+        interval_value(td, 2, 1)  # a span is given in walk order
 
 
 def test_interval_value_properties():
@@ -208,6 +218,36 @@ def test_rule_engine_rejects_a_sum_that_is_not_a_root(monkeypatch):
     monkeypatch.setattr(slicebuild, "interval_value", off_chain)
     with pytest.raises(ConstructionRuleError, match=r"\(2,3\): changed beta_2 is not elementary"):
         construct(CoprimePair(2, 3))
+
+
+def test_signature_starting_minus_ends_minus():
+    # the rule engine has no case for a - start with a + end
+    for pair in coprime_pairs(200):
+        full = signature(turning_data(traversal(pair))).full
+        if pair.p % 2 == 1:
+            assert full[0] == 1
+        if full[0] == -1:
+            assert full[-1] == -1
+
+
+def test_rule_engine_rejects_a_minus_start_with_a_plus_end(monkeypatch):
+    def minus_plus(td):
+        return replace(signature(td), full=(-1, 1), first_sign=-1, changes=(1, 2))
+
+    monkeypatch.setattr(slicebuild, "signature", minus_plus)
+    with pytest.raises(
+        ConstructionRuleError, match=r"\(2,3\): the signature starts with - and ends with \+"
+    ):
+        construct(CoprimePair(2, 3))
+
+
+def test_end_anchor_needs_p_equal_to_one():
+    # (2,3) has turning positions 1, 2, 5; beta_4 is anchored at the end point 5
+    sc = sc_for(2, 3)
+    td = replace(sc.turning, e=4)
+    assert td.positions == (1, 2, 5) and td.tag_at(5) == "B"
+    with pytest.raises(ConstructionRuleError, match="anchor at the end point 5 with p = 2"):
+        exceptional_fix(td, sc.ledger)
 
 
 def test_reanchoring_off_a_non_root_is_a_rule_error():
