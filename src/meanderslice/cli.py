@@ -2,18 +2,19 @@
 
 Commands: meander, construct, verify, sigmap, diagram.  All output is
 byte-deterministic for a fixed configuration.  Exit codes: 0 success,
-1 verification failure, 2 input error.
+1 verification failure, 2 input error or output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 from . import diagram as diagram_mod
 from .meander import (
@@ -33,9 +34,60 @@ CSV_COLUMNS = ["p", "q", "n", "signature", "used_fix", "mode", "m"]
 
 
 def _dump_json(payload):
-    """Every payload is plain JSON already: ints, strs, bools, lists or
-    tuples, and dicts with str keys."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    r"""The text of `json.dumps(payload, sort_keys=True, indent=2) + "\n"`.
+
+    `json.dumps` with an indent always runs its pure-Python encoder; this
+    writer gives the same bytes in a fraction of the time.  It takes what
+    every payload here is made of: ints, strs, bools, lists or tuples, and
+    dicts with str keys.  Anything else raises TypeError.
+    """
+    out = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline, out):
+    """Append the pieces of `value` to `out`; `newline` is a line break
+    followed by the indent of the line that `value` starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in value):
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        opener = "["
+        for v in value:
+            out.append(opener + inner)
+            _write_json(v, inner, out)
+            opener = ","
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be str, not %r" % (key,))
+        inner = newline + "  "
+        opener = "{"
+        for key in sorted(value):
+            out.append(opener + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            opener = ","
+        out.append(newline + "}")
+    else:
+        raise TypeError("cannot write %r as JSON" % (value,))
 
 
 def _dump_csv(rows):
@@ -335,7 +387,15 @@ def cmd_diagram(args):
     return diagram_mod.ascii_diagram(sc), 0
 
 
+@functools.cache
 def build_parser():
+    """The `slice` argument parser, built on the first call and shared by
+    every later call in the process.
+
+    Building it costs far more than one `parse_args`, which makes a fresh
+    Namespace on each call.  Nothing may change the parser once it is
+    built.
+    """
     parser = argparse.ArgumentParser(
         prog="slice",
         description="Meander combinatorics and exactly certified adapted pairs for sl(p+q).",
@@ -392,13 +452,13 @@ def main(argv=None):
         print("slice: verification failure: %s" % ex, file=sys.stderr)
         return 1
     data = text.encode("utf-8")
-    if not args.out:
-        sys.stdout.buffer.write(data)
-        return code
     try:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    except OSError as ex:  # an --out path that cannot be written is bad input
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        else:
+            sys.stdout.buffer.write(data)
+    except OSError as ex:  # an output that cannot be written is bad input
         print("slice: input error: %s" % ex, file=sys.stderr)
         return 2
     return code

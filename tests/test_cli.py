@@ -365,3 +365,177 @@ def test_jobs_env_overrides_the_flag():
     # SLICE_JOBS, when set, replaces --jobs before the flag is checked
     env = dict(os.environ, SLICE_JOBS="2")
     assert run_cli("verify", "--max-n", "5", "--jobs", "0", env=env).returncode == 0
+
+
+# --- JSON writer, parser reuse, output failures --------------------------
+
+def _json_oracle(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _capture_payloads(monkeypatch, cli, argv):
+    """Run `cli.main(argv)` and return every payload it hands to the writer."""
+    seen = []
+    dump = cli._dump_json
+
+    def recording(payload):
+        seen.append(payload)
+        return dump(payload)
+
+    monkeypatch.setattr(cli, "_dump_json", recording)
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(cli, "_dump_json", dump)
+    return seen
+
+
+def test_dump_json_matches_json_dumps_on_every_payload(monkeypatch, capsysbinary):
+    from meanderslice import cli
+    from meanderslice.meander import coprime_pairs
+
+    monkeypatch.delenv("SLICE_JOBS", raising=False)
+    payloads = []
+    for pair in coprime_pairs(30):
+        payloads.append(cli._meander_payload(pair))
+        payloads.append(cli._construct_payload(pair))
+    # the sweep's rows are the single-pair verify payloads: with the
+    # stabiliser fields for n <= 20, without them for 21 <= n <= 30
+    (sweep,) = _capture_payloads(monkeypatch, cli, ["verify", "--max-n", "30", "--format", "json"])
+    assert any("stabiliser_dim" in r for r in sweep["rows"])
+    assert any("stabiliser_dim" not in r for r in sweep["rows"])
+    payloads.append(sweep)
+    payloads.extend(sweep["rows"])
+    payloads.extend(_capture_payloads(monkeypatch, cli, ["sigmap", "--max-n", "80", "--format", "json"]))
+    capsysbinary.readouterr()
+    assert len(payloads) == 2 * 138 + 1 + 138 + 1
+    for payload in payloads:
+        assert cli._dump_json(payload) == _json_oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[]],
+        [{}],
+        {"a": [], "b": {}, "c": [[], {}]},
+        [[[]], [[[]]]],
+        (1, 2, 3),
+        ((), (4,), [5, (6, 7)]),
+        [True, 1, False, 0],
+        [1, True],
+        {"t": True, "f": False, "one": 1, "zero": 0},
+        [-1, -(2**64) - 1, 2**64, 2**100, 0],
+        -(2**70),
+        "",
+        'quote " backslash \\ newline \n tab \t bell \x07 nul \x00',
+        "non-ASCII: éß≤ \U0001d54a",
+        {"kéy \"\\\n": ["v\x1f", {"": ""}]},
+        {"b": 1, "a": 2, "B": 3, "é": 4, "aa": 5},
+        [[1, 2], [3, "x"], ["y"], [True]],
+        {"rows": [{"p": 1, "q": 2, "ok": True}], "image": ["", "-", "+-"]},
+    ],
+)
+def test_dump_json_matches_json_dumps_on_hand_made_values(value):
+    from meanderslice import cli
+
+    assert cli._dump_json(value) == _json_oracle(value)
+
+
+@pytest.mark.parametrize(
+    "value, named",
+    [
+        (1.5, "1.5"),
+        ([1, 2, 0.25], "0.25"),
+        (None, "None"),
+        ({"a": [None]}, "None"),
+        ({1: "x"}, "1"),
+        ({"a": {"b": 1, 7: 2}}, "7"),
+    ],
+)
+def test_dump_json_rejects_other_values(value, named):
+    from meanderslice import cli
+
+    with pytest.raises(TypeError, match=named):
+        cli._dump_json(value)
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsysbinary):
+    import argparse
+
+    from meanderslice import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.delenv("SLICE_JOBS", raising=False)
+    cli.build_parser.cache_clear()
+    assert cli.main(["meander", "2", "3", "--format", "json"]) == 0
+    assert built  # the first call builds the parser and its subparsers
+    first = len(built)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["construct", "x", "3"])
+    assert exit_info.value.code == 2
+    target = tmp_path / "verify.json"
+    assert cli.main(["verify", "2", "3", "--format", "json", "--out", str(target)]) == 0
+    assert cli.main(["sigmap", "--max-n", "6", "--format", "csv"]) == 0
+    assert cli.main(["diagram", "2", "3"]) == 0
+    assert len(built) == first
+    assert cli.build_parser() is cli.build_parser()
+    assert json.loads(target.read_bytes())["all_ok"] is True
+
+    # parse_args fills a fresh Namespace: no value leaks into the next call
+    capsysbinary.readouterr()
+    assert cli.main(["construct", "2", "3", "--format", "json"]) == 0
+    assert cli.main(["construct", "2", "3", "--out", str(tmp_path / "c.txt")]) == 0
+    assert cli.main(["construct", "2", "3"]) == 0
+    out = capsysbinary.readouterr().out
+    fresh = run_cli("construct", "2", "3").stdout
+    assert out == run_cli("construct", "2", "3", "--format", "json").stdout + fresh
+    assert (tmp_path / "c.txt").read_bytes() == fresh
+    assert len(built) == first
+
+
+class _FullBuffer:
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+class _FullStdout:
+    buffer = _FullBuffer()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigmap", "--max-n", "80", "--format", "json"],
+        ["construct", "2", "3"],
+        ["verify", "--max-n", "6", "--format", "csv"],
+    ],
+)
+def test_stdout_write_failure_is_an_input_error(argv, monkeypatch, capsys):
+    from meanderslice import cli
+
+    monkeypatch.delenv("SLICE_JOBS", raising=False)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "slice: input error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_device_on_stdout_exits_2():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "meanderslice.cli", "sigmap", "--max-n", "80", "--format", "json"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("slice: input error: ")
+    assert proc.stderr.decode().count("\n") == 1
