@@ -14,7 +14,7 @@ print("walk phi:", tr.phi)
 assert tr.phi == (4, 2, 1, 5, 3)
 
 td = turning_data(tr)
-print("turning positions:", td.positions, "tags:", td.tags)
+print("turning positions:", td.positions, "tags:", tuple(td.tag_at(t) for t in td.positions))
 print("nil flags:", td.nil, "exceptional index e =", td.e)
 
 sig = signature(td)

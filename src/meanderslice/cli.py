@@ -8,6 +8,7 @@ byte-deterministic for a fixed configuration.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -118,7 +119,7 @@ def _meander_payload(pair):
         "a": tr.a,
         "b": tr.b,
         "turning_positions": list(td.positions),
-        "turning_tags": list(td.tags),
+        "turning_tags": [td.tag_at(t) for t in td.positions],
         "turning_labels": list(td.labels),
         "eps": list(td.eps),
         "nil": [i + 1 for i, v in enumerate(td.nil) if v],
@@ -458,7 +459,16 @@ def main(argv=None):
                 fh.write(data)
         else:
             sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()  # a buffered write fails only here
     except OSError as ex:  # an output that cannot be written is bad input
+        if not args.out:
+            # the unwritten bytes stay buffered: send them to the null
+            # device, so that the flush at interpreter exit cannot fail again
+            with contextlib.suppress(AttributeError, OSError):  # no descriptor
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
         print("slice: input error: %s" % ex, file=sys.stderr)
         return 2
     return code

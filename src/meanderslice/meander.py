@@ -117,8 +117,7 @@ class TurningData:
     traversal: Traversal
     betas: tuple  # the chain beta_1..beta_{n-1} of the traversal
     positions: tuple  # strictly increasing positions t with phi(t) turning
-    tags: tuple  # "A" or "B" per position
-    labels: tuple  # consecutive ints; odd labels are the A side
+    labels: tuple  # consecutive ints, one per position; odd labels are the A side
     label_of: dict  # turning position -> its label
     eps: tuple  # eps[i-1] in {+1,-1} for i in 1..n-1
     nil: tuple  # nil[i-1]: a_p shows up in beta_i
@@ -159,7 +158,7 @@ def turning_data(tr):
     eps = [0] * (n - 1)
     for k in range(p):
         t0, t1 = positions[k], positions[k + 1]
-        sign = 1 if tags[k] == "A" else -1
+        sign = 1 if labels[k] % 2 else -1
         for i in range(t0, t1):
             eps[i - 1] = sign
     if not all(eps):
@@ -189,7 +188,6 @@ def turning_data(tr):
         traversal=tr,
         betas=betas,
         positions=positions,
-        tags=tags,
         labels=labels,
         label_of=label_of,
         eps=tuple(eps),
@@ -218,8 +216,8 @@ def signature(td):
     entries; run starts are recorded over the full vector."""
     p = td.pair.p
     full = []
-    for t, tag in zip(td.positions, td.tags):
-        if tag != "A":
+    for t in td.positions:
+        if td.tag_at(t) != "A":
             continue
         above = td.nil[t - 2] if t >= 2 else False
         below = td.nil[t - 1] if t <= td.pair.n - 1 else False

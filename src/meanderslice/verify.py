@@ -251,7 +251,9 @@ class GradedForm:
     off the truncated parabolic.  eta has weight -1, so `blocks` maps each
     row weight lam to the rows {j: {k: S_jk}} of weight lam, whose columns
     all have weight 1 - lam.  `ranks` maps lam to the exact rank of that
-    block, and rank S is their sum.
+    block: the pivots that the leaf-peel of `_peel_ranks` removed from it,
+    which need no arithmetic, plus the certified rank of the core that is
+    left (`_block_rank`).  rank S is their sum.
     """
 
     weights: tuple
@@ -274,7 +276,9 @@ _PRIME = 2**31 - 1
 
 
 def _block_rank(rows):
-    """Exact rank of one block of sparse rows {column: value}.
+    """Exact rank of one block of sparse rows {column: value}: the core that
+    the leaf-peel leaves of a skew-form block (`_peel_ranks`), or a whole
+    block plus one row (`complement_check`).
 
     Its rank modulo `_PRIME` is a lower bound (a minor that is non-zero mod
     a prime is non-zero), and its numbers of rows and of distinct columns
@@ -303,12 +307,6 @@ def _eta_index(support, size):
     return by_row, by_col
 
 
-def _add(row, k, v):
-    """row[k] += v, where k = -1 names no basis element."""
-    if k >= 0:
-        row[k] = row.get(k, 0) + v
-
-
 def _form_row(j, elements, index, position, diagonal):
     """Row {k: S_jk} of the skew form for the basis element of id j (the
     lists of `basis_layout`, `index` from `_eta_index`).
@@ -318,8 +316,9 @@ def _form_row(j, elements, index, position, diagonal):
     off-diagonal entry (x, y) of the commutator pairs with E_yx, and a
     diagonal one (x, x) with H_x and, negated, with H_{x-1}.  b_j = H_c is
     E_cc - E_{c+1,c+1}; eta has no diagonal entry, so neither term of H_c
-    lands on the diagonal.  A row costs O(1), and no two of its terms
-    cancel, so every stored entry is non-zero.
+    lands on the diagonal.  Id -1 names no basis element and is skipped.  A
+    row costs O(1), and no two of its terms cancel, so every stored entry
+    is non-zero; `graded_skew_form` checks that.
     """
     by_row, by_col = index
     w = len(diagonal)
@@ -328,65 +327,118 @@ def _form_row(j, elements, index, position, diagonal):
     if c != d:
         for a in by_col[c]:
             if a != d:
-                _add(row, position[d * w + a], 1)
+                k = position[d * w + a]
+                if k >= 0:
+                    row[k] = row.get(k, 0) + 1
             else:
-                _add(row, diagonal[a], 1)
-                _add(row, diagonal[a - 1], -1)
+                for k, v in ((diagonal[a], 1), (diagonal[a - 1], -1)):
+                    if k >= 0:
+                        row[k] = row.get(k, 0) + v
         for e in by_row[d]:
             if e != c:
-                _add(row, position[e * w + c], -1)
+                k = position[e * w + c]
+                if k >= 0:
+                    row[k] = row.get(k, 0) - 1
             else:
-                _add(row, diagonal[c], -1)
-                _add(row, diagonal[c - 1], 1)
+                for k, v in ((diagonal[c], -1), (diagonal[c - 1], 1)):
+                    if k >= 0:
+                        row[k] = row.get(k, 0) + v
     else:
         for x, v in ((c, 1), (c + 1, -1)):
             for a in by_col[x]:
-                _add(row, position[x * w + a], v)
+                k = position[x * w + a]
+                if k >= 0:
+                    row[k] = row.get(k, 0) + v
             for e in by_row[x]:
-                _add(row, position[e * w + x], -v)
+                k = position[e * w + x]
+                if k >= 0:
+                    row[k] = row.get(k, 0) - v
     return row
+
+
+def _peel_ranks(rows, weights, lams):
+    """The exact rank of each block lam in `lams` (all >= 1) of the
+    alternating form with rows {k: S_jk}, by a leaf-peel and then
+    `_block_rank` on the cores.
+
+    `graded_skew_form` has checked that the form is alternating, so row j
+    lists the partners of id j both as a row of block weights[j] and as a
+    column of block 1 - weights[j], and no separate column index is needed;
+    every id is a line of exactly one block lam >= 1.  A line with one live
+    entry, whatever its value, is a pivot: removing it with the line of its
+    partner lowers the rank of their block by exactly 1 and changes no other
+    entry.  Peeling repeats until no such line is left; the cores, the live
+    rows and columns that remain, are ranked by `_block_rank`, one call per
+    block that has a core.  O(nnz) apart from the cores.
+    """
+    ranks = dict.fromkeys(lams, 0)
+    live = [len(row) for row in rows]  # live degree; 0 once removed or isolated
+    leaves = [j for j, degree in enumerate(live) if degree == 1]
+    for j in leaves:  # grows while it is walked
+        if live[j] != 1:  # removed, or left isolated, since it was queued
+            continue
+        for k in rows[j]:
+            if live[k]:
+                break
+        live[j] = live[k] = 0
+        ranks[max(weights[j], weights[k])] += 1  # the weights sum to 1
+        for i in rows[k]:
+            if live[i]:
+                live[i] -= 1
+                if live[i] == 1:
+                    leaves.append(i)
+    cores = {}
+    for j, row in enumerate(rows):
+        if live[j] and weights[j] >= 1:
+            core_row = {k: v for k, v in row.items() if live[k]}
+            cores.setdefault(weights[j], []).append(core_row)
+    for lam, core in cores.items():
+        ranks[lam] += _block_rank(core)
+    return ranks
 
 
 def graded_skew_form(ap):
     """The skew form of eta = sum of x_beta over the support of the adapted
     pair `ap`, built one row at a time (`_form_row`) over the integer ids of
-    `basis_layout` and ranked one ad h weight block at a time.
+    `basis_layout` and ranked by one leaf-peel of the whole form
+    (`_peel_ranks`).
 
-    The weights come from the integral h of `ap`.  Two checks run on every
-    non-zero entry, so neither is assumed: an entry outside its block
-    V_lam x V_{1-lam} raises ValueError, and so does an entry S_jk that is
-    not minus S_kj.  Block 1 - lam is then minus the transpose of block
-    lam, so only the blocks with lam >= 1 are ranked (`_block_rank`), and
-    each rank is copied to block 1 - lam; no block pairs with itself, since
-    2 lam = 1 has no integer solution.
+    The weights come from the integral h of `ap`.  Three checks run on
+    every stored entry, so none is assumed: an entry outside its block
+    V_lam x V_{1-lam} raises ValueError, and so do a stored 0 (the peel
+    counts every stored entry as a pivot candidate) and an entry S_jk that
+    is not minus S_kj.  Block 1 - lam is then minus the transpose of block
+    lam, so only the blocks with lam >= 1 are ranked, and each rank is
+    copied to block 1 - lam; no block pairs with itself, since 2 lam = 1
+    has no integer solution.  Each rank is the number of pivots peeled in
+    its block plus the certified rank of its core.
     """
     elements, position, diagonal = basis_layout(ap.pair)
     h = ap.h
     weights = [h[x - 1] - h[y - 1] for x, y in elements]  # 0 on each H_x
     index = _eta_index(ap.eta_support, len(diagonal))
-    rows = []
+    rows = [_form_row(j, elements, index, position, diagonal) for j in range(len(elements))]
     blocks = {}
-    for j in range(len(elements)):
-        row = _form_row(j, elements, index, position, diagonal)
-        lam = weights[j]
-        for k in row:
-            if weights[k] != 1 - lam:
-                raise ValueError(
-                    "skew-form entry (%d, %d) has weights %d + %d, not 1" % (j, k, lam, weights[k])
-                )
-        rows.append(row)
-        if row:
-            blocks.setdefault(lam, {})[j] = row
     for j, row in enumerate(rows):
+        if not row:
+            continue
+        lam = weights[j]
         for k, v in row.items():
-            if rows[k].get(j) != -v:
+            if weights[k] != 1 - lam or not v or rows[k].get(j) != -v:
+                if weights[k] != 1 - lam:
+                    raise ValueError(
+                        "skew-form entry (%d, %d) has weights %d + %d, not 1"
+                        % (j, k, lam, weights[k])
+                    )
+                if not v:
+                    raise ValueError("skew-form entry (%d, %d) is stored as 0" % (j, k))
                 raise ValueError(
                     "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
                 )
-    ranks = {}
-    for lam, block in blocks.items():
-        if lam >= 1:
-            ranks[lam] = ranks[1 - lam] = _block_rank(block.values())
+        blocks.setdefault(lam, {})[j] = row
+    ranks = _peel_ranks(rows, weights, [lam for lam in blocks if lam >= 1])
+    for lam in list(ranks):
+        ranks[1 - lam] = ranks[lam]
     return GradedForm(
         weights=tuple(weights),
         position=position,

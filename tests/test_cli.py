@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -530,12 +531,19 @@ def test_stdout_write_failure_is_an_input_error(argv, monkeypatch, capsys):
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 def test_full_device_on_stdout_exits_2():
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "meanderslice.cli", "sigmap", "--max-n", "80", "--format", "json"],
-            stdout=full,
-            stderr=subprocess.PIPE,
-        )
-    assert proc.returncode == 2
-    assert proc.stderr.decode().startswith("slice: input error: ")
-    assert proc.stderr.decode().count("\n") == 1
+    # stdout buffered, as on a terminal-less run without PYTHONUNBUFFERED
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (
+        ["sigmap", "--max-n", "80", "--format", "json"],  # large: the write fails
+        ["construct", "2", "3"],  # small: only the flush fails
+    ):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "meanderslice.cli"] + argv,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        assert proc.returncode == 2, argv
+        assert proc.stderr.decode().startswith("slice: input error: ")
+        assert proc.stderr.decode().count("\n") == 1

@@ -171,7 +171,7 @@ def test_turning_data_rejects_a_wrong_turning_set(corrupt, monkeypatch):
 def test_turning_data_2_3():
     td = td_for(2, 3)
     assert td.positions == (1, 2, 5)
-    assert td.tags == ("B", "A", "B")
+    assert [td.tag_at(t) for t in td.positions] == ["B", "A", "B"]
     assert td.labels == (0, 1, 2)
     assert td.eps == (-1, 1, 1, 1)
     assert td.nil == (True, False, True, False)
@@ -186,7 +186,11 @@ def test_turning_counts_and_alternation():
         td = turning_data(traversal(pair))
         assert len(td.positions) == pair.p + 1
         assert len(td.positions[1:-1]) == pair.p - 1
-        for x, y in zip(td.tags, td.tags[1:]):
+        # the side of each turning value, read off the turning sets
+        a_side, _ = turning_set_closed_form(pair)
+        tags = ["A" if td.traversal.phi[t - 1] in a_side else "B" for t in td.positions]
+        assert tags == [td.tag_at(t) for t in td.positions]
+        for x, y in zip(tags, tags[1:]):
             assert {x, y} == {"A", "B"}
         first = 1 if pair.p % 2 == 1 else 0
         assert td.labels == tuple(range(first, first + pair.p + 1))
@@ -271,7 +275,7 @@ def test_signature_reads_nil_side():
     for pair in ALL_PAIRS:
         td = turning_data(traversal(pair))
         sig = signature(td)
-        a_positions = [t for t, tag in zip(td.positions, td.tags) if tag == "A"]
+        a_positions = [t for t in td.positions if td.tag_at(t) == "A"]
         for s, t in zip(sig.full, a_positions):
             if s == -1:
                 assert td.nil[t - 2]

@@ -167,7 +167,7 @@ def test_chi_injective_with_singleton_cokernel():
         td = sc.turning
         chi = sc.ledger.chi
         d = sc.ledger.undecided[0]
-        b_positions = {t for t, tag in zip(td.positions, td.tags) if tag == "B"}
+        b_positions = {t for t in td.positions if td.tag_at(t) == "B"}
         values = list(chi.values())
         assert len(values) == len(set(values))
         assert d not in values

@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+import types
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -350,6 +353,79 @@ def test_block_ranks_against_bareiss(monkeypatch):
                 }
 
 
+# `_block_rank` itself, for the whole-block oracle, whatever a test patches
+whole_block_rank = verify._block_rank
+
+
+def peel_errors(form):
+    """The weights lam >= 1 whose peeled rank in `form` is not the rank of
+    the whole block by `_block_rank`, or is not copied to block 1 - lam."""
+    return [
+        lam
+        for lam, rows in form.blocks.items()
+        if lam >= 1 and not form.ranks[lam] == form.ranks[1 - lam] == whole_block_rank(rows.values())
+    ]
+
+
+def peel_cores(monkeypatch, ap):
+    """The graded form of `ap`, and the cores that its leaf-peel hands to
+    `_block_rank`."""
+    cores = []
+
+    def record(rows):
+        cores.append(list(rows))
+        return whole_block_rank(cores[-1])
+
+    monkeypatch.setattr(verify, "_block_rank", record)
+    form = graded_skew_form(ap)
+    monkeypatch.setattr(verify, "_block_rank", whole_block_rank)
+    return form, cores
+
+
+def test_peel_ranks_against_whole_block_ranks(monkeypatch):
+    for pair in coprime_pairs(60):
+        form, cores = peel_cores(monkeypatch, adapted_pair(pair))
+        assert peel_errors(form) == []
+        # the peel leaves one square core of n - 2 rows, and none when p = 1
+        shapes = [(len(core), len({k for row in core for k in row})) for core in cores]
+        assert shapes == ([] if pair.p == 1 else [(pair.n - 2, pair.n - 2)])
+
+
+def mutant_verify(monkeypatch, old, new):
+    """A copy of the `verify` module whose source has its one occurrence of
+    `old` replaced by `new`: a deliberately broken certifier."""
+    source = inspect.getsource(verify)
+    assert source.count(old) == 1
+    module = types.ModuleType("meanderslice.mutant_verify")
+    module.__package__ = "meanderslice"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
+    exec(compile(source.replace(old, new), "<mutant verify>", "exec"), module.__dict__)
+    return module
+
+
+PEEL_MUTANTS = {
+    # a column-side leaf is removed with its partner but not counted
+    "drop_column_leaf": (
+        "+= 1  # the weights sum to 1",
+        "+= weights[j] >= 1",
+    ),
+    # a leaf queued again after its removal is counted again
+    "count_leaf_twice": (
+        "        if live[j] != 1:  # removed, or left isolated, since it was queued\n"
+        "            continue\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(PEEL_MUTANTS))
+def test_peel_mutants_fail_the_whole_block_oracle(monkeypatch, mutation):
+    mutant = mutant_verify(monkeypatch, *PEEL_MUTANTS[mutation])
+    forms = [mutant.graded_skew_form(mutant.adapted_pair(pair)) for pair in coprime_pairs(20)]
+    assert any(peel_errors(form) for form in forms)
+    assert any(eta_regularity(form)["stabiliser_dim"] != 1 for form in forms)
+
+
 def mutated_form(monkeypatch, ap, mutate):
     """graded_skew_form with `mutate(j, row)` applied to the built row of
     each basis id j."""
@@ -364,26 +440,38 @@ def mutated_form(monkeypatch, ap, mutate):
     return graded_skew_form(ap)
 
 
-def scaled_by_prime(j0, k0):
-    """A `mutated_form` mutation: S_j0k0 and S_k0j0 times `_PRIME`.  On an
-    entry alone in its row and in its column this scales a row, so the
-    rank over Q is unchanged, while the rank modulo the prime drops by 1."""
+def scaled_entry(j0, k0, factor=verify._PRIME):
+    """A `mutated_form` mutation: S_j0k0 and S_k0j0 times `factor`.  On an
+    entry alone in its row and in its column, a factor of `_PRIME` scales a
+    row, so the rank over Q is unchanged, while the rank modulo the prime
+    drops by 1."""
 
     def scale_entry(j, row):
         for a, b in ((j0, k0), (k0, j0)):
             if j == a:
-                row[b] *= verify._PRIME
+                row[b] *= factor
 
     return scale_entry
 
 
-def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
-    pair = CoprimePair(3, 4)
-    ap = adapted_pair(pair)
-    form = graded_skew_form(ap)
-    # an entry alone in its row and in its column, in a ranked block
+def scaled_line(i0):
+    """A `mutated_form` mutation: every entry S_i0k and S_ki0 times
+    `_PRIME`.  In the block of i0 this scales one row or column, so the rank
+    over Q is unchanged, while modulo the prime that line vanishes."""
+
+    def scale_line(j, row):
+        for k in row:
+            if i0 in (j, k):
+                row[k] *= verify._PRIME
+
+    return scale_line
+
+
+def leaf_entry(form):
+    """An entry (j, k) of a ranked block, lam >= 1, alone in its row and in
+    its column: a pivot of the leaf-peel."""
     column_counts = Counter(k for rows in form.blocks.values() for row in rows.values() for k in row)
-    (j0, k0) = next(
+    return next(
         (j, k)
         for lam, rows in sorted(form.blocks.items())
         if lam >= 1
@@ -392,15 +480,49 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
         if len(row) == 1 and column_counts[k] == 1
     )
 
+
+def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
+    pair = CoprimePair(3, 4)
+    ap = adapted_pair(pair)
+    _, cores = peel_cores(monkeypatch, ap)
+    # the one core that the peel leaves is square and of full rank, so any
+    # of its columns vanishing modulo the prime drops its modular rank
+    (core,) = cores
+    k0 = min(k for row in core for k in row)
+
     spy = RankSpy(monkeypatch)
-    mutated = mutated_form(monkeypatch, ap, scaled_by_prime(j0, k0))
+    mutated = mutated_form(monkeypatch, ap, scaled_line(k0))
     modular = sum(
         linalg.rank_mod_prime(rows.values(), verify._PRIME) for rows in mutated.blocks.values()
     )
-    assert modular < form.dim - 1
-    # only the tampered block falls short of its bound
+    assert modular < mutated.dim - 1
+    # only the tampered core falls short of its bound
     assert spy.calls == 1
     assert eta_regularity(mutated)["stabiliser_dim"] == 1
+
+
+def test_scaled_leaf_needs_no_arithmetic(monkeypatch):
+    pair = CoprimePair(3, 4)
+    ap = adapted_pair(pair)
+    (j0, k0) = leaf_entry(graded_skew_form(ap))
+    spy = RankSpy(monkeypatch)
+    mutated = mutated_form(monkeypatch, ap, scaled_entry(j0, k0))
+    assert abs(mutated.blocks[mutated.weights[j0]][j0][k0]) == verify._PRIME
+    # the peel counts the leaf whatever its value: no Bareiss rank
+    assert spy.calls == 0
+    assert eta_regularity(mutated)["stabiliser_dim"] == 1
+
+
+def test_graded_form_rejects_a_stored_zero(monkeypatch):
+    pair = CoprimePair(3, 4)
+    ap = adapted_pair(pair)
+    (j0, k0) = leaf_entry(graded_skew_form(ap))
+    # S_j0k0 = S_k0j0 = 0 still alternates, but the peel would count it
+    with pytest.raises(ValueError, match="stored as 0") as info:
+        mutated_form(monkeypatch, ap, scaled_entry(j0, k0, 0))
+    assert str(info.value) in {
+        "skew-form entry (%d, %d) is stored as 0" % (a, b) for a, b in ((j0, k0), (k0, j0))
+    }
 
 
 def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
@@ -489,7 +611,7 @@ def test_scaled_entry_reaches_the_complement_fallback(monkeypatch):
         if len(row) == 1 and column_counts[c] == 1
     )
 
-    mutated = mutated_form(monkeypatch, ap, scaled_by_prime(j0, k0))
+    mutated = mutated_form(monkeypatch, ap, scaled_entry(j0, k0))
     spy = RankSpy(monkeypatch)
     assert complement_check(mutated, ap.alpha)
     assert spy.calls == 1
