@@ -14,7 +14,6 @@ import functools
 import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 from . import diagram as diagram_mod
@@ -120,7 +119,7 @@ def _meander_payload(pair):
         "b": tr.b,
         "turning_positions": list(td.positions),
         "turning_tags": [td.tag_at(t) for t in td.positions],
-        "turning_labels": list(td.labels),
+        "turning_labels": [td.label_of[t] for t in td.positions],
         "eps": list(td.eps),
         "nil": [i + 1 for i, v in enumerate(td.nil) if v],
         "boundary": [i + 1 for i, v in enumerate(td.boundary) if v],
@@ -206,10 +205,6 @@ def _verify_payload(pair):
     return out
 
 
-def _verify_row_worker(pq):
-    return _verify_payload(CoprimePair(*pq))
-
-
 def _csv_row(payload):
     return [
         payload["p"],
@@ -285,13 +280,16 @@ def cmd_verify(args):
     if not (single or sweep):
         raise MeanderError("verify needs p q, or --max-n N with N >= 3")
     if args.max_n is not None:
-        pairs = [(pp.p, pp.q) for pp in coprime_pairs(args.max_n)]
+        pairs = coprime_pairs(args.max_n)
         jobs = min(jobs, os.cpu_count() or 1, len(pairs))
         if jobs > 1:
+            # imported here: loading the pool module slows the start of every run without one
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_verify_row_worker, pairs))
+                rows = list(pool.map(_verify_payload, pairs))
         else:
-            rows = [_verify_row_worker(pq) for pq in pairs]
+            rows = [_verify_payload(pair) for pair in pairs]
         ok = all(r["all_ok"] for r in rows)
         payload = {
             "schema_version": SCHEMA_VERSION,

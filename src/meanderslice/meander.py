@@ -82,10 +82,7 @@ def traversal(pair):
     phi = [a]
     for i in range(1, n):
         prev = phi[-1]
-        nxt = sigma(prev, n) if i % 2 == 1 else tau(prev, p, n)
-        if nxt == prev:
-            raise MeanderError("walk stalled before covering the orbit")
-        phi.append(nxt)
+        phi.append(sigma(prev, n) if i % 2 == 1 else tau(prev, p, n))
     if len(set(phi)) != n:
         raise NotCoprimeError("orbit is not a single cycle")
     if phi[-1] != b:
@@ -117,8 +114,7 @@ class TurningData:
     traversal: Traversal
     betas: tuple  # the chain beta_1..beta_{n-1} of the traversal
     positions: tuple  # strictly increasing positions t with phi(t) turning
-    labels: tuple  # consecutive ints, one per position; odd labels are the A side
-    label_of: dict  # turning position -> its label
+    label_of: dict  # turning position -> its label; consecutive in walk order, odd on the A side
     eps: tuple  # eps[i-1] in {+1,-1} for i in 1..n-1
     nil: tuple  # nil[i-1]: a_p shows up in beta_i
     boundary: tuple
@@ -129,11 +125,14 @@ class TurningData:
     def tag_at(self, t):
         return "A" if self.label_of[t] % 2 else "B"
 
-    def label_at(self, t):
-        return self.label_of[t]
-
 
 def turning_data(tr):
+    """Turning points, labels, signs and nil values of the walk `tr`.
+
+    Certifies the walk lemmas, raising MeanderError otherwise: p + 1
+    turning points, the first and last at the ends of the walk, alternate
+    between the A and B sides; isolated values are nil; exactly one value,
+    beta_e = +- a_{m/2}, is +- a simple root, and it is not nil."""
     pair = tr.pair
     p, q, n = pair.p, pair.q, pair.n
     A, B = turning_set_closed_form(pair)
@@ -148,24 +147,15 @@ def turning_data(tr):
         if x == y:
             raise MeanderError("turning tags must alternate along the orbit")
     first_label = 1 if tags[0] == "A" else 0
-    labels = tuple(range(first_label, first_label + p + 1))
-    # odd labels sit on the A side under this numbering
-    for lab, tag in zip(labels, tags):
-        if (lab % 2 == 1) != (tag == "A"):
-            raise MeanderError("label %d does not match its tag %s" % (lab, tag))
+    label_of = dict(zip(positions, range(first_label, first_label + p + 1)))
 
     betas = beta_sequence(tr)
-    eps = [0] * (n - 1)
+    eps = []  # the turning intervals tile 1..n-1 between the checked end points
     for k in range(p):
-        t0, t1 = positions[k], positions[k + 1]
-        sign = 1 if labels[k] % 2 else -1
-        for i in range(t0, t1):
-            eps[i - 1] = sign
-    if not all(eps):
-        raise MeanderError("a chain value lies outside every turning interval")
+        sign = 1 if tags[k] == "A" else -1
+        eps.extend([sign] * (positions[k + 1] - positions[k]))
 
     nil = tuple(rootlab.alpha_p_coefficient(b, p) != 0 for b in betas)
-    label_of = dict(zip(positions, labels))
     boundary = tuple(i in label_of or i + 1 in label_of for i in range(1, n))
     isolated = tuple(i in label_of and i + 1 in label_of for i in range(1, n))
     for i in range(n - 1):
@@ -188,7 +178,6 @@ def turning_data(tr):
         traversal=tr,
         betas=betas,
         positions=positions,
-        labels=labels,
         label_of=label_of,
         eps=tuple(eps),
         nil=nil,
@@ -203,7 +192,6 @@ def turning_data(tr):
 class Signature:
     sg: tuple  # published signature, length p // 2
     full: tuple  # one sign per A turning point, in orbit order
-    first_sign: int
     changes: tuple  # run starts j_1=1 < j_2 < ... over `full` (1-based)
 
     def as_string(self):
@@ -225,7 +213,7 @@ def signature(td):
             raise MeanderError("exactly one boundary value of an A point is nil")
         full.append(1 if below else -1)
     full = tuple(full)
-    if p % 2 == 1 and (not full or full[0] != 1):
+    if p % 2 == 1 and full[0] != 1:
         raise MeanderError("odd p forces a nil value below the first A point")
     changes = [1]
     for j in range(1, len(full)):
@@ -234,7 +222,6 @@ def signature(td):
     return Signature(
         sg=full[: p // 2],
         full=full,
-        first_sign=full[0] if full else 1,
         changes=tuple(changes),
     )
 

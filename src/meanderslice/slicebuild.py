@@ -73,9 +73,9 @@ def build_pi_star(td, sig):
     that starts with - and ends with +, ...).
     """
     p, n = td.pair.p, td.pair.n
-    pos_of = dict(zip(td.labels, td.positions))
+    pos_of = {lab: t for t, lab in td.label_of.items()}
     betas = td.betas
-    full, first = sig.full, sig.first_sign
+    full, first = sig.full, sig.full[0]
     J = len(full)
     later = dict(zip(sig.changes, sig.changes[1:]))  # run start -> next run start
     earlier = {b: a for a, b in later.items()}
@@ -205,6 +205,8 @@ def check_conditions(td, beta_now):
     changed signed value carries the p-th simple root with coefficient -1;
     (c) the exceptional value actually changed; (d) every original signed
     value except the exceptional one stays positive for the new path.
+    (d) reads the changed values alone: an unchanged signed value is an
+    edge of the path that (a) certified, so it is positive.
     """
     p, n = td.pair.p, td.pair.n
     betas, eps = td.betas, td.eps
@@ -233,10 +235,10 @@ def check_conditions(td, beta_now):
         res["d"] = False
     else:
         pos = rootlab.path_positions(order)
-        pos_ok = [rootlab.positive_wrt(rootlab.scale(eps[i], betas[i]), pos) for i in range(n - 1)]
-        res["d"] = all(ok for i, ok in enumerate(pos_ok, start=1) if i != td.e)
-        if not res["d"]:
-            bad = [i for i, ok in enumerate(pos_ok, start=1) if not ok and i != td.e]
+        old = {i: rootlab.scale(eps[i - 1], betas[i - 1]) for i in changed if i != td.e}
+        bad = [i for i, r in old.items() if not rootlab.positive_wrt(r, pos)]
+        res["d"] = not bad
+        if bad:
             res["witness"] = res["witness"] or "negative original values %r" % bad
     res["ok"] = res["a"] and res["b"] and res["c"] and res["d"]
     res["order"] = order
@@ -384,7 +386,7 @@ def triangularity_order(sc):
     levels = {i: 0 for i in range(1, n)}
     for idx, entry in sc.ledger.entries.items():
         s, t = entry.span
-        gap = td.label_at(t) - td.label_at(s)
+        gap = td.label_of[t] - td.label_of[s]
         compound = entry.case in ("compound", "compound-short") or gap > 1
         levels[idx] = 3 if compound else 2
     expansion = {}

@@ -1,8 +1,9 @@
 """Slow independent oracles for the tests.
 
-`exhaustive_solutions` enumerates every admissible assignment of changes
-and certifies each one; it is exponential in p and meant for n <= 12,
-where it cross-checks the rule engine of `slicebuild.construct`.
+`exhaustive_candidates` enumerates every admissible assignment of changes
+and `exhaustive_solutions` keeps the ones the checker certifies; both are
+exponential in p and meant for n <= 20, where they cross-check the rule
+engine of `slicebuild.construct` and the checker itself.
 `support_matrix` turns a support of roots back into the dense 0/1 matrix
 for the dense rank oracles.  `turning_set_sign_flip` finds the turning
 values from the two involutions, independently of the closed form that
@@ -57,15 +58,13 @@ def _change_options(td, t):
     return opts
 
 
-def exhaustive_solutions(td):
-    """Every certified assignment of one admissible change per internal
-    turning point, with the repair step applied when only condition (c)
-    fails.  Returns a list of ChangeLedger objects, each with
-    `beta_final` set, in deterministic order."""
+def exhaustive_candidates(td):
+    """Every assignment of one admissible change per internal turning
+    point, certified or not: ChangeLedger objects with `beta_prime` set,
+    in deterministic order."""
     betas = td.betas
     internal = list(td.positions[1:-1])
     options = [_change_options(td, t) for t in internal]
-    out = []
     for combo in product(*options):
         idxs = [idx for idx, _ in combo]
         if len(set(idxs)) != len(idxs):
@@ -76,12 +75,21 @@ def exhaustive_solutions(td):
             iv = interval_value(td, *span)
             beta_prime[idx - 1] = rootlab.add(betas[idx - 1], iv)
             entries[idx] = ChangeEntry(index=idx, span=span, case="search", added=iv)
-        ledger = ChangeLedger(
+        yield ChangeLedger(
             entries=entries,
             chi={},
             undecided=(None, "search"),
             beta_prime=tuple(beta_prime),
         )
+
+
+def exhaustive_solutions(td):
+    """Every certified assignment of one admissible change per internal
+    turning point, with the repair step applied when only condition (c)
+    fails.  Returns a list of ChangeLedger objects, each with
+    `beta_final` set, in deterministic order."""
+    out = []
+    for ledger in exhaustive_candidates(td):
         res = check_conditions(td, ledger.beta_prime)
         if res["a"] and res["b"] and res["d"] and not res["c"]:
             try:

@@ -304,6 +304,8 @@ def test_optimised_mode_keeps_the_sweep():
 
 
 def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
+    import concurrent.futures
+
     from meanderslice import cli
 
     started = []
@@ -321,7 +323,7 @@ def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.delenv("SLICE_JOBS", raising=False)
     argv = ["verify", "--max-n", "5", "--format", "json"]  # four pairs
     assert cli.main(argv) == 0
@@ -351,6 +353,14 @@ def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(args)
         assert exit_info.value.code == 2
+
+
+def test_cli_import_leaves_the_pool_module_unloaded():
+    # only a verify sweep with --jobs above 1 loads the process pool
+    code = "import sys, meanderslice.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 def test_invalid_jobs_env():

@@ -85,8 +85,9 @@ def test_traversal_witnesses():
 
 
 def test_traversal_is_bijection_everywhere():
-    for pair in ALL_PAIRS:
+    for pair in coprime_pairs(140):
         tr = traversal(pair)
+        # no value repeats, so the walk never stalls
         assert sorted(tr.phi) == list(range(1, pair.n + 1))
         # alternation: sigma on odd steps, tau on even steps
         for i in range(1, pair.n):
@@ -155,7 +156,7 @@ def test_turning_sets_agree():
 )
 def test_turning_data_rejects_a_wrong_turning_set(corrupt, monkeypatch):
     # the closed form is trusted at run time; a wrong set must still fail
-    # the count, alternation or label checks of turning_data
+    # the count or alternation checks of turning_data
     closed_form = meander.turning_set_closed_form
     monkeypatch.setattr(
         meander, "turning_set_closed_form", lambda pair: corrupt(*closed_form(pair))
@@ -163,7 +164,7 @@ def test_turning_data_rejects_a_wrong_turning_set(corrupt, monkeypatch):
     for pair in coprime_pairs(40):
         tr = traversal(pair)
         with pytest.raises(
-            MeanderError, match="turning points, expected|must alternate|does not match its tag"
+            MeanderError, match="turning points, expected|must alternate"
         ):
             turning_data(tr)
 
@@ -172,7 +173,7 @@ def test_turning_data_2_3():
     td = td_for(2, 3)
     assert td.positions == (1, 2, 5)
     assert [td.tag_at(t) for t in td.positions] == ["B", "A", "B"]
-    assert td.labels == (0, 1, 2)
+    assert td.label_of == {1: 0, 2: 1, 5: 2}
     assert td.eps == (-1, 1, 1, 1)
     assert td.nil == (True, False, True, False)
     assert td.isolated == (True, False, False, False)
@@ -182,18 +183,27 @@ def test_turning_data_2_3():
 
 
 def test_turning_counts_and_alternation():
-    for pair in ALL_PAIRS:
+    for pair in coprime_pairs(140):
         td = turning_data(traversal(pair))
         assert len(td.positions) == pair.p + 1
         assert len(td.positions[1:-1]) == pair.p - 1
         # the side of each turning value, read off the turning sets
         a_side, _ = turning_set_closed_form(pair)
         tags = ["A" if td.traversal.phi[t - 1] in a_side else "B" for t in td.positions]
+        # tag_at reads the label's parity: each label is odd exactly on the A side
         assert tags == [td.tag_at(t) for t in td.positions]
         for x, y in zip(tags, tags[1:]):
             assert {x, y} == {"A", "B"}
         first = 1 if pair.p % 2 == 1 else 0
-        assert td.labels == tuple(range(first, first + pair.p + 1))
+        labels = [td.label_of[t] for t in td.positions]
+        assert labels == list(range(first, first + pair.p + 1))
+
+
+def test_every_value_has_a_sign():
+    for pair in coprime_pairs(140):
+        eps = turning_data(traversal(pair)).eps
+        assert len(eps) == pair.n - 1
+        assert set(eps) <= {1, -1}
 
 
 def test_cascade_union_identity_everywhere():
@@ -247,7 +257,7 @@ def test_exceptional_value_shape():
 def test_signature_witnesses():
     sig = signature(td_for(2, 3))
     assert sig.sg == (-1,)
-    assert sig.first_sign == -1
+    assert sig.full[0] == -1
     for q in (2, 4, 6, 8):
         assert signature(td_for(1, q)).sg == ()
     assert signature(td_for(3, 4)).sg[0] == 1

@@ -21,7 +21,14 @@ from meanderslice.slicebuild import (
     interval_value,
     triangularity_order,
 )
-from oracles import dense, dense_add, dense_scale, exhaustive_solutions, to_simple_coords
+from oracles import (
+    dense,
+    dense_add,
+    dense_scale,
+    exhaustive_candidates,
+    exhaustive_solutions,
+    to_simple_coords,
+)
 
 SWEEP = [construct(pair) for pair in coprime_pairs(20)]
 
@@ -141,7 +148,7 @@ def test_rule_three_odd_opposite_side():
         td = sc.turning
         for i, entry in sc.ledger.entries.items():
             s, t = entry.span
-            gap = td.label_at(t) - td.label_at(s)
+            gap = td.label_of[t] - td.label_of[s]
             assert gap % 2 == 1
             assert entry.added == interval_value(td, s, t)
             assert i in (s - 1, t)  # above the upper end or below the lower end
@@ -203,6 +210,55 @@ def test_positivity_strong_form_and_fix_effect():
             assert sc.checks["d"] and not all_positive(sc.order)
 
 
+def negative_original_values(td, order):
+    """The O(n) condition (d): every original signed value except beta_e,
+    each checked for positivity on the path `order`; returns the indices
+    of the negative ones."""
+    pos = rootlab.path_positions(order)
+    return [
+        i
+        for i in range(1, td.pair.n)
+        if i != td.e
+        and not rootlab.positive_wrt(rootlab.scale(td.eps[i - 1], td.betas[i - 1]), pos)
+    ]
+
+
+def test_full_condition_d_to_n_140():
+    for pair in coprime_pairs(140):
+        sc = construct(pair)
+        assert negative_original_values(sc.turning, sc.order) == []
+
+
+def test_condition_d_on_changed_values_matches_the_full_check():
+    # every exhaustive candidate, and its repair where only (c) fails.  No
+    # candidate with n <= 10 fails (d); with n <= 20, 23 do, 13 of them
+    # with (d) as the first failing condition
+    failed = witnessed = 0
+    for pair in coprime_pairs(20):
+        td = turning_data(traversal(pair))
+        for ledger in exhaustive_candidates(td):
+            lists = [ledger.beta_prime]
+            res = check_conditions(td, ledger.beta_prime)
+            if res["a"] and res["b"] and res["d"] and not res["c"]:
+                try:
+                    lists.append(exceptional_fix(td, ledger)[1])
+                except ConstructionRuleError:
+                    pass
+            for beta_now in lists:
+                res = check_conditions(td, beta_now)
+                if not res["a"]:
+                    continue
+                bad = negative_original_values(td, res["order"])
+                assert res["d"] == (not bad)
+                failed += bool(bad)
+                if res["b"] and res["c"]:
+                    # (d) is the first condition to fail, so it names the witness
+                    want = "negative original values %r" % bad if bad else None
+                    assert res["witness"] == want
+                    witnessed += bool(bad)
+    assert failed > 0 and witnessed > 0
+
+
 def test_fix_changes_at_most_three_entries():
     for sc in SWEEP:
         if sc.used_exceptional_fix:
@@ -232,7 +288,7 @@ def test_signature_starting_minus_ends_minus():
 
 def test_rule_engine_rejects_a_minus_start_with_a_plus_end(monkeypatch):
     def minus_plus(td):
-        return replace(signature(td), full=(-1, 1), first_sign=-1, changes=(1, 2))
+        return replace(signature(td), full=(-1, 1), changes=(1, 2))
 
     monkeypatch.setattr(slicebuild, "signature", minus_plus)
     with pytest.raises(
