@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import sys
@@ -143,6 +144,18 @@ def test_adapted_pair_structure_everywhere():
             assert h_eigenvalue(ap.h, beta) == -1
         assert 2 * (ap.m + 1) == p * p + q * q + p * q - 1
         assert alpha_eigenvalue(pair) == ap.m
+
+
+def test_adapted_pair_bytes_pinned():
+    # one line repr((p, q, h, m, alpha, eta_support)) per pair with n <= 140
+    digest = hashlib.md5()
+    pairs = coprime_pairs(140)
+    assert len(pairs) == 2999
+    for pair in pairs:
+        ap = adapted_pair(pair)
+        line = repr((pair.p, pair.q, ap.h, ap.m, ap.alpha, ap.eta_support)) + "\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == "03a490f6a043428f763547821da0ed32"
 
 
 def dense_h_oracle(pair, support):
