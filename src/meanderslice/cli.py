@@ -27,7 +27,7 @@ from .meander import (
 )
 from .rootlab import dense
 from .slicebuild import ConstructionFailed, construct, triangularity_order
-from .verify import alpha_eigenvalue, full_report
+from .verify import AdaptedPairError, alpha_eigenvalue, full_report
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ["p", "q", "n", "signature", "used_fix", "mode", "m"]
@@ -447,7 +447,7 @@ def main(argv=None):
     except MeanderError as ex:
         print("slice: input error: %s" % ex, file=sys.stderr)
         return 2
-    except ConstructionFailed as ex:
+    except (ConstructionFailed, AdaptedPairError) as ex:
         print("slice: verification failure: %s" % ex, file=sys.stderr)
         return 1
     data = text.encode("utf-8")

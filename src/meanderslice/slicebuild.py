@@ -370,13 +370,16 @@ def construct(pair):
 def triangularity_order(sc):
     """Total order on 1..n-1 making the rule changes unitriangular.
 
-    Unchanged values come first, then simple-interval changes, then
-    compound changes, ties broken by index.  Verified on the pre-repair
+    Each value has a level: 0 unchanged, 2 a simple-interval change, 3 a
+    compound change.  Each step takes the smallest (level, index) among the
+    values whose dependencies are all placed, so within a level an index
+    can wait for a larger one: (8,11) places its level-2 values as 2, 8,
+    10, 14, 12, since the expansion of 12 uses 14.  No two levels
+    interleave on any pair with n <= 200.  Verified on the pre-repair
     values: each signed changed value must expand over the original signed
     chain (the chain values between its endpoints along phi, times eps,
-    read off the interval of their positions) with unit diagonal
-    and support only on earlier values.  Raises ConstructionRuleError when
-    the expansion breaks the pattern.
+    read off the interval of their positions) with unit diagonal and
+    support only on earlier values, or ConstructionRuleError is raised.
     """
     import heapq
 

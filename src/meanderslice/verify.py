@@ -10,8 +10,10 @@ completed regular nilpotent built from the modified simple root system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import linalg, rootlab
+from .meander import traversal, turning_data
 from .slicebuild import construct
 
 # small primes for the modular ranks of the dense oracle `certified_rank`
@@ -35,60 +37,32 @@ def h_eigenvalue(h, r):
 
 
 class AdaptedPairError(ValueError):
-    """Raised when the adapted pair cannot be certified: the cascades do
-    not have the expected shape, or the eigenvalue system for h is not
+    """Raised when the adapted pair cannot be certified: the cascades are
+    not the signed meander chain, or the eigenvalue system for h is not
     uniquely solvable, or its solution is not integral."""
 
 
-def _solve_h_on_paths(support, p, q):
-    """The unique diagonal h with h(beta) = -1 on `support` and zero trace
-    on both diagonal blocks, as a tuple of ints.
+def _solve_h_on_walk(td):
+    """The unique diagonal h with h(eps_i beta_i) = -1 for i != e and zero
+    trace on both diagonal blocks, for the walk `td` (`turning_data`).
 
-    The paper (arXiv 1011.0928) asks only that h be ad-semisimple; for
-    this construction it is integral, and that is certified here.
-
-    Each root e_a - e_b of the support is read as an undirected edge
-    a - b carrying h_b = h_a + 1.  Propagating that rule from the least
-    vertex of each component fixes h up to one constant per component;
-    the two block traces then give a 2x2 system for the constants.  The
-    solution is unique exactly when every edge is consistent, there are
-    two components and the 2x2 determinant is non-zero; anything else
-    raises AdaptedPairError, and so does a solution that is not integral.
+    The paper (arXiv 1011.0928) asks only that h be ad-semisimple; here it
+    is integral, and that is certified.  h(eps_i beta_i) = -1 reads
+    h_phi(i+1) = h_phi(i) + eps_i, so along the walk h is the prefix sum of
+    eps plus one constant on phi(1..e) and one on phi(e+1..n).  The two
+    block traces fix the constants; AdaptedPairError when that 2x2 system
+    is singular or its solution is not integral.
     """
-    n = p + q
-    adjacent = [[] for _ in range(n + 1)]
-    for a, b in support:
-        adjacent[a].append((b, 1))
-        adjacent[b].append((a, -1))
-    component = [None] * (n + 1)
-    offset = [0] * (n + 1)
-    k = 0  # number of components found so far
-    for start in range(1, n + 1):
-        if component[start] is not None:
-            continue
-        component[start] = k
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, step in adjacent[v]:
-                if component[w] is None:
-                    component[w] = k
-                    offset[w] = offset[v] + step
-                    stack.append(w)
-                elif offset[w] != offset[v] + step:
-                    raise AdaptedPairError(
-                        "inconsistent eigenvalue condition on the edge %d - %d" % (v, w)
-                    )
-        k += 1
-    if k != 2:
-        raise AdaptedPairError("the support splits into %d components, expected 2" % k)
-    # block traces: sum over the block of (c_component + offset) = 0
+    p = td.pair.p
+    phi, e = td.traversal.phi, td.e
+    offsets = (0, *accumulate(td.eps[: e - 1] + (0,) + td.eps[e:]))
+    # block traces: sum over the block of (c_side + offset) = 0; side 0 is t < e
     counts = [[0, 0], [0, 0]]
     sums = [0, 0]
-    for v in range(1, n + 1):
+    for t, v in enumerate(phi):
         block = 0 if v <= p else 1
-        counts[block][component[v]] += 1
-        sums[block] += offset[v]
+        counts[block][t >= e] += 1
+        sums[block] += offsets[t]
     (a, b), (c, d) = counts
     det = a * d - b * c
     if det == 0:
@@ -98,8 +72,10 @@ def _solve_h_on_paths(support, p, q):
     c1, r1 = divmod(-sums[1] * a + sums[0] * c, det)
     if r0 or r1:
         raise AdaptedPairError("the solution h of the block-trace system is not integral")
-    constants = (c0, c1)
-    return tuple(constants[component[v]] + offset[v] for v in range(1, n + 1))
+    h = [0] * len(phi)
+    for t, v in enumerate(phi):
+        h[v - 1] = (c1 if t >= e else c0) + offsets[t]
+    return tuple(h)
 
 
 def alpha_eigenvalue(pair):
@@ -109,34 +85,36 @@ def alpha_eigenvalue(pair):
     return (p * p + q * q + p * q - 3) // 2
 
 
-def adapted_pair(pair):
-    """The pair (h, eta): eta supported on the two cascades minus the one
-    +- simple root, h the unique block-traceless diagonal with
-    h(beta) = -1 on the support.
+def adapted_pair(td):
+    """The pair (h, eta) of the walk `td` (`meander.turning_data`): eta
+    supported on the two cascades minus alpha, h the unique block-traceless
+    diagonal with h(beta) = -1 on the support.
 
-    The union of the cascades is the signed meander chain, a path on
-    1..n; dropping alpha leaves two paths.  h is solved along them in
-    O(n) (see `_solve_h_on_paths`), which certifies that the eigenvalue
-    system has exactly one solution and that it is integral.  Also
-    certified: the union has n - 1 roots with exactly one +- simple root
-    among them, and the eigenvalue m of h on x_alpha is
-    `alpha_eigenvalue(pair)`.  A failed check raises AdaptedPairError.
+    Certified on every call: the union of the Kostant and Levi cascades is
+    the signed meander chain {eps_i beta_i}, a path on 1..n; alpha is its
+    exceptional value eps_e beta_e, its one +- simple root; h is integral
+    and unique (`_solve_h_on_walk`), and its eigenvalue m on x_alpha is
+    `alpha_eigenvalue(pair)`.  A failed check raises AdaptedPairError
+    naming the pair.
     """
-    p, q, n = pair.p, pair.q, pair.n
-    union = rootlab.kostant_cascade(n) | rootlab.levi_cascade(p, q)
-    if len(union) != n - 1:
-        raise AdaptedPairError("the union has %d roots, expected %d" % (len(union), n - 1))
-    alphas = [r for r in union if abs(r[0] - r[1]) == 1]
-    if len(alphas) != 1:
-        raise AdaptedPairError(
-            "the union must contain exactly one +- simple root, found %d" % len(alphas)
-        )
-    alpha = alphas[0]
-    support = sorted(union - {alpha})
-    h = _solve_h_on_paths(support, p, q)
-    m = h_eigenvalue(h, alpha)
-    if m != alpha_eigenvalue(pair):
-        raise AdaptedPairError("the eigenvalue m = %d on x_alpha breaks the closed form" % m)
+    pair = td.pair
+    prefix = "no certified adapted pair for (%d,%d): " % (pair.p, pair.q)
+    try:
+        chain = [rootlab.scale(s, beta) for s, beta in zip(td.eps, td.betas)]
+        union = rootlab.kostant_cascade(pair.n) | rootlab.levi_cascade(pair.p, pair.q)
+        if union != set(chain):
+            raise AdaptedPairError(
+                "the cascade union is not the signed meander chain (%d roots, expected %d)"
+                % (len(union), len(chain))
+            )
+        alpha = chain[td.e - 1]
+        support = sorted(union - {alpha})
+        h = _solve_h_on_walk(td)
+        m = h_eigenvalue(h, alpha)
+        if m != alpha_eigenvalue(pair):
+            raise AdaptedPairError("the eigenvalue m = %d on x_alpha breaks the closed form" % m)
+    except AdaptedPairError as ex:
+        raise AdaptedPairError(prefix + str(ex)) from ex
     return AdaptedPair(pair=pair, eta_support=tuple(support), alpha=alpha, h=h, m=m)
 
 
@@ -212,7 +190,7 @@ def skew_form_matrix(pair, ap=None, eta=None):
     truncated parabolic, as a dense d x d matrix (test oracle for
     `graded_skew_form`); alternating and integral."""
     if eta is None:
-        ap = ap or adapted_pair(pair)
+        ap = ap or adapted_pair(turning_data(traversal(pair)))
         eta = _sparse_from_roots(ap.eta_support)
     basis = parabolic_basis(pair)
     d = len(basis)
@@ -584,7 +562,7 @@ def full_report(pair, with_stabiliser=True):
     `added_roots`, the roots of y'' outside the modified system, is the
     one dense field: n-tuples over e_1..e_n, sorted as such."""
     sc = construct(pair)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(sc.turning)
     support = completed_element(sc)
     modified = set(sc.pi_final)
     regular = path_order_regular(support, sc.order)

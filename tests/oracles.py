@@ -18,7 +18,7 @@ compare the two.
 from itertools import accumulate, product
 
 from meanderslice import linalg, rootlab, verify
-from meanderslice.meander import sigma, tau
+from meanderslice.meander import sigma, tau, traversal, turning_data
 from meanderslice.slicebuild import (
     ChangeEntry,
     ChangeLedger,
@@ -118,6 +118,11 @@ def turning_set_sign_flip(pair):
         if ds == 0 or dt == 0 or (ds > 0) != (dt > 0):
             out.add(v)
     return frozenset(out)
+
+
+def walk(pair):
+    """The turning data of the pair's walk, the input of `verify.adapted_pair`."""
+    return turning_data(traversal(pair))
 
 
 def support_matrix(support, n):

@@ -37,7 +37,7 @@ from meanderslice.verify import (
     h_eigenvalue,
     path_order_regular,
 )
-from oracles import exhaustive_solutions, support_matrix
+from oracles import exhaustive_solutions, support_matrix, walk
 
 PAIRS_30 = coprime_pairs(30)
 
@@ -114,7 +114,7 @@ def test_acceptance_completed_element(constructions):
         assert regular
         # the O(n) path-order certificate agrees with the dense power ranks
         assert path_order_regular(support, sc.order) == regular
-        res = check_restriction(support, adapted_pair(pair))
+        res = check_restriction(support, adapted_pair(sc.turning))
         assert res["matches_eta"] and res["rest_in_nilradical"]
     done()
 
@@ -135,15 +135,15 @@ def test_acceptance_power_ranks_exact(constructions):
 def test_acceptance_adapted_pair():
     done = timed(1.0)
     for pair in PAIRS_30:
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         p, q = pair.p, pair.q
         assert 2 * (ap.m + 1) == p * p + q * q + p * q - 1
         for beta in ap.eta_support:
             assert h_eigenvalue(ap.h, beta) == -1
-    assert adapted_pair(CoprimePair(1, 2)).h == (0, -1, 1)
-    assert adapted_pair(CoprimePair(1, 2)).m == 2
-    assert adapted_pair(CoprimePair(2, 3)).h == (-4, 4, -2, 5, -3)
-    assert adapted_pair(CoprimePair(2, 3)).m == 8
+    assert adapted_pair(walk(CoprimePair(1, 2))).h == (0, -1, 1)
+    assert adapted_pair(walk(CoprimePair(1, 2))).m == 2
+    assert adapted_pair(walk(CoprimePair(2, 3))).h == (-4, 4, -2, 5, -3)
+    assert adapted_pair(walk(CoprimePair(2, 3))).m == 8
     done()
 
 
@@ -152,7 +152,7 @@ def test_acceptance_adapted_pair():
 def test_acceptance_stabiliser_dimension():
     done = timed(120.0)
     for pair in PAIRS_30:
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         form = graded_skew_form(ap)
         reg = eta_regularity(form)
         assert reg["stabiliser_dim"] == 1

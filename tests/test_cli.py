@@ -125,6 +125,24 @@ def test_verify_rule_error_names_the_pair(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "2", "3"], "(2,3): the cascade union is not the signed meander chain (2 roots, expected 4)"),
+        (["verify", "--max-n", "5"], "(1,2): the cascade union is not the signed meander chain (1 roots, expected 2)"),
+    ],
+)
+def test_verify_adapted_pair_error_names_the_pair(argv, message, monkeypatch, capsys):
+    from meanderslice import cli, rootlab
+
+    monkeypatch.setattr(rootlab, "levi_cascade", lambda p, q: frozenset())
+    monkeypatch.delenv("SLICE_JOBS", raising=False)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "slice: verification failure: no certified adapted pair for %s\n" % message
+
+
 def test_construct_json_witnesses():
     payload = run_json("construct", "2", "3")
     assert payload["order"] == [2, 4, 1, 5, 3]

@@ -32,7 +32,7 @@ from meanderslice.verify import (
     skew_form_matrix,
     weyl_permutation,
 )
-from oracles import dense, dense_block_rank, dict_graded_form, dict_parabolic_basis, dot
+from oracles import dense, dense_block_rank, dict_graded_form, dict_parabolic_basis, dot, walk
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -120,7 +120,7 @@ def test_power_ranks_non_increasing():
 # --- adapted pair ---------------------------------------------------------
 
 def test_adapted_pair_1_2():
-    ap = adapted_pair(CoprimePair(1, 2))
+    ap = adapted_pair(walk(CoprimePair(1, 2)))
     assert set(ap.eta_support) == {rootlab.eps_diff(1, 3, 3)}
     assert ap.alpha == rootlab.eps_diff(3, 2, 3)  # minus the second simple root
     assert ap.h == (0, -1, 1)
@@ -128,15 +128,15 @@ def test_adapted_pair_1_2():
 
 
 def test_adapted_pair_2_3():
-    ap = adapted_pair(CoprimePair(2, 3))
+    ap = adapted_pair(walk(CoprimePair(2, 3)))
     assert ap.h == (-4, 4, -2, 5, -3)
     assert ap.alpha == rootlab.eps_diff(2, 1, 5)
     assert ap.m == 8
 
 
 def test_adapted_pair_structure_everywhere():
-    for pair in coprime_pairs(30):
-        ap = adapted_pair(pair)
+    for pair in coprime_pairs(140):
+        ap = adapted_pair(walk(pair))
         p, q, n = pair.p, pair.q, pair.n
         assert len(ap.eta_support) == n - 2
         assert sum(ap.h[:p]) == 0 and sum(ap.h[p:]) == 0
@@ -152,7 +152,7 @@ def test_adapted_pair_bytes_pinned():
     pairs = coprime_pairs(140)
     assert len(pairs) == 2999
     for pair in pairs:
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         line = repr((pair.p, pair.q, ap.h, ap.m, ap.alpha, ap.eta_support)) + "\n"
         digest.update(line.encode())
     assert digest.hexdigest() == "03a490f6a043428f763547821da0ed32"
@@ -171,7 +171,7 @@ def dense_h_oracle(pair, support):
 
 def test_adapted_pair_against_dense_solve():
     for pair in coprime_pairs(30):
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         want = dense_h_oracle(pair, ap.eta_support)
         assert want is not None
         assert len(ap.h) == len(want) == pair.n
@@ -180,38 +180,45 @@ def test_adapted_pair_against_dense_solve():
         assert ap.m == dot(want, dense(ap.alpha, pair.n))
 
 
+def fake_walk(p, q, phi, eps, e):
+    return SimpleNamespace(
+        pair=SimpleNamespace(p=p, q=q), traversal=SimpleNamespace(phi=phi), eps=eps, e=e
+    )
+
+
 def test_path_solve_rejects_degenerate_support():
-    e = rootlab.eps_diff
-    # two edges on five vertices: three components
-    with pytest.raises(AdaptedPairError, match="3 components"):
-        verify._solve_h_on_paths([e(1, 2, 5), e(3, 4, 5)], 2, 3)
-    # components {1,3} and {2,4} meet both blocks of (2, 2) equally
+    # the sides {1, 3} and {2, 4} of e meet both blocks of (2, 2) equally
     with pytest.raises(AdaptedPairError, match="singular"):
-        verify._solve_h_on_paths([e(1, 3, 4), e(2, 4, 4)], 2, 2)
-    # a cycle whose eigenvalue conditions contradict each other
-    with pytest.raises(AdaptedPairError, match="inconsistent"):
-        verify._solve_h_on_paths([e(1, 2, 3), e(2, 3, 3), e(1, 3, 3)], 1, 2)
+        verify._solve_h_on_walk(fake_walk(2, 2, (1, 3, 2, 4), (1, 1, 1), 2))
     assert issubclass(AdaptedPairError, ValueError)
 
 
 def test_path_solve_rejects_non_integral_h():
-    # components {1} and {2, 3}: the block traces give h = (0, -1/2, 1/2)
+    # sides {1} and {2, 3}: the block traces give h = (0, -1/2, 1/2)
     with pytest.raises(AdaptedPairError, match="not integral"):
-        verify._solve_h_on_paths([rootlab.eps_diff(2, 3, 3)], 1, 2)
+        verify._solve_h_on_walk(fake_walk(1, 2, (1, 2, 3), (1, 1), 1))
+
+
+def test_adapted_pair_rejects_a_flipped_sign():
+    td = walk(CoprimePair(2, 5))
+    for i in range(len(td.eps)):
+        eps = td.eps[:i] + (-td.eps[i],) + td.eps[i + 1 :]
+        with pytest.raises(AdaptedPairError, match=r"\(2,5\): .* not the signed meander chain"):
+            adapted_pair(replace(td, eps=eps))
 
 
 def test_adapted_pair_rejects_malformed_union(monkeypatch):
     monkeypatch.setattr(verify.rootlab, "levi_cascade", lambda p, q: frozenset())
     with pytest.raises(AdaptedPairError, match="expected 4"):
-        adapted_pair(CoprimePair(2, 3))
+        adapted_pair(walk(CoprimePair(2, 3)))
 
 
 # --- regularity of eta ----------------------------------------------------
 
 def test_eta_regularity_witnesses():
-    reg = eta_regularity(graded_skew_form(adapted_pair(CoprimePair(1, 2))))
+    reg = eta_regularity(graded_skew_form(adapted_pair(walk(CoprimePair(1, 2)))))
     assert reg == {"dim_p": 5, "rank": 4, "stabiliser_dim": 1, "regular": True}
-    reg = eta_regularity(graded_skew_form(adapted_pair(CoprimePair(2, 3))))
+    reg = eta_regularity(graded_skew_form(adapted_pair(walk(CoprimePair(2, 3)))))
     assert reg["dim_p"] == 17 and reg["rank"] == 16 and reg["stabiliser_dim"] == 1
 
 
@@ -240,7 +247,7 @@ def test_basis_layout_names_the_parabolic_basis():
         elements, position, diagonal = verify.basis_layout(pair)
         basis = parabolic_basis(pair)
         assert basis == dict_parabolic_basis(pair)
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         form = graded_skew_form(ap)
         w = pair.n + 1
         assert form.position == position and form.stride == len(diagonal) == w
@@ -276,7 +283,7 @@ def dense_complement_oracle(s, basis, root):
 
 def test_graded_form_against_dense_oracle():
     for pair in coprime_pairs(20):
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         form = graded_skew_form(ap)
         s, basis = skew_form_matrix(pair, ap)
         d = len(basis)
@@ -316,7 +323,7 @@ class RankSpy:
 
 def test_graded_form_against_dict_oracle():
     for pair in coprime_pairs(40):
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         form = graded_skew_form(ap)
         weights, blocks, ranks = dict_graded_form(ap)
         assert form.weights == weights
@@ -341,7 +348,7 @@ def test_block_ranks_against_bareiss(monkeypatch):
     spy = RankSpy(monkeypatch)
     forms = []
     for pair in coprime_pairs(30):
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         form = graded_skew_form(ap)
         forms.append(form)
         assert complement_check(form, ap.alpha)
@@ -397,7 +404,7 @@ def peel_cores(monkeypatch, ap):
 
 def test_peel_ranks_against_whole_block_ranks(monkeypatch):
     for pair in coprime_pairs(60):
-        form, cores = peel_cores(monkeypatch, adapted_pair(pair))
+        form, cores = peel_cores(monkeypatch, adapted_pair(walk(pair)))
         assert peel_errors(form) == []
         # the peel leaves one square core of n - 2 rows, and none when p = 1
         shapes = [(len(core), len({k for row in core for k in row})) for core in cores]
@@ -434,7 +441,7 @@ PEEL_MUTANTS = {
 @pytest.mark.parametrize("mutation", sorted(PEEL_MUTANTS))
 def test_peel_mutants_fail_the_whole_block_oracle(monkeypatch, mutation):
     mutant = mutant_verify(monkeypatch, *PEEL_MUTANTS[mutation])
-    forms = [mutant.graded_skew_form(mutant.adapted_pair(pair)) for pair in coprime_pairs(20)]
+    forms = [mutant.graded_skew_form(mutant.adapted_pair(walk(pair))) for pair in coprime_pairs(20)]
     assert any(peel_errors(form) for form in forms)
     assert any(eta_regularity(form)["stabiliser_dim"] != 1 for form in forms)
 
@@ -496,7 +503,7 @@ def leaf_entry(form):
 
 def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
     pair = CoprimePair(3, 4)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     _, cores = peel_cores(monkeypatch, ap)
     # the one core that the peel leaves is square and of full rank, so any
     # of its columns vanishing modulo the prime drops its modular rank
@@ -516,7 +523,7 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
 
 def test_scaled_leaf_needs_no_arithmetic(monkeypatch):
     pair = CoprimePair(3, 4)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     (j0, k0) = leaf_entry(graded_skew_form(ap))
     spy = RankSpy(monkeypatch)
     mutated = mutated_form(monkeypatch, ap, scaled_entry(j0, k0))
@@ -528,7 +535,7 @@ def test_scaled_leaf_needs_no_arithmetic(monkeypatch):
 
 def test_graded_form_rejects_a_stored_zero(monkeypatch):
     pair = CoprimePair(3, 4)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     (j0, k0) = leaf_entry(graded_skew_form(ap))
     # S_j0k0 = S_k0j0 = 0 still alternates, but the peel would count it
     with pytest.raises(ValueError, match="stored as 0") as info:
@@ -540,7 +547,7 @@ def test_graded_form_rejects_a_stored_zero(monkeypatch):
 
 def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
     pair = CoprimePair(3, 4)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     form = graded_skew_form(ap)
     sizes = Counter(form.weights)
     # a row in a pair of square blocks of full rank: the kernel of S misses it
@@ -565,7 +572,7 @@ def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
 
 def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
     pair = CoprimePair(2, 3)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     form = graded_skew_form(ap)
     j0, row0 = next(iter(form.blocks[max(form.blocks)].items()))
     k0 = next(iter(row0))
@@ -585,7 +592,7 @@ def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
 
 def test_graded_form_rejects_entries_off_their_block():
     pair = CoprimePair(2, 3)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     tampered_h = (ap.h[0] + 1,) + ap.h[1:]
     with pytest.raises(ValueError, match="not 1"):
         graded_skew_form(replace(ap, h=tampered_h))
@@ -598,7 +605,7 @@ def test_complement_check(monkeypatch):
     spy = RankSpy(monkeypatch)
     for pq in [(1, 2), (2, 3)]:
         pair = CoprimePair(*pq)
-        ap = adapted_pair(pair)
+        ap = adapted_pair(walk(pair))
         form = graded_skew_form(ap)
         before = spy.calls
         assert complement_check(form, ap.alpha)
@@ -612,7 +619,7 @@ def test_complement_check(monkeypatch):
 
 def test_scaled_entry_reaches_the_complement_fallback(monkeypatch):
     pair = CoprimePair(3, 7)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     form = graded_skew_form(ap)
     lam, rows = complement_rows(form, ap.alpha)
     column_counts = Counter(c for row in rows for c in row)
@@ -633,7 +640,7 @@ def test_scaled_entry_reaches_the_complement_fallback(monkeypatch):
 def test_complement_check_of_a_root_outside_the_dual(monkeypatch):
     # (p + 1, 1) lies in the lower-left corner, so its transpose E_{1,p+1}
     # is not in p: its functional is zero and nothing is ranked
-    forms = [(pair, graded_skew_form(adapted_pair(pair))) for pair in coprime_pairs(14)]
+    forms = [(pair, graded_skew_form(adapted_pair(walk(pair)))) for pair in coprime_pairs(14)]
     bareiss = RankSpy(monkeypatch)
     modular = RankSpy(monkeypatch, "rank_mod_prime")
     for pair, form in forms:
@@ -709,12 +716,12 @@ def test_regular_nilpotent_against_kernel_oracle():
 def test_restriction_witnesses():
     pair = CoprimePair(2, 3)
     sc = construct(pair)
-    ap = adapted_pair(pair)
+    ap = adapted_pair(walk(pair))
     res = check_restriction(completed_element(sc), ap)
     assert res["matches_eta"] and res["rest_in_nilradical"]
     assert res["minus"] == (rootlab.eps_diff(4, 1, 5),)  # -(a_1+a_2+a_3)
     pair = CoprimePair(1, 2)
-    res = check_restriction(completed_element(construct(pair)), adapted_pair(pair))
+    res = check_restriction(completed_element(construct(pair)), adapted_pair(walk(pair)))
     assert set(res["zero_one"]) == {rootlab.eps_diff(1, 3, 3)}
     assert set(res["minus"]) == {rootlab.eps_diff(2, 1, 3)}
 
