@@ -374,6 +374,17 @@ def test_triangularity_everywhere():
                 assert not (m[i][j] and pos[j + 1] > pos[i + 1])
 
 
+def test_triangularity_bytes_pinned():
+    # one line repr((p, q, triangularity_order)) per pair with n <= 140
+    digest = hashlib.md5()
+    pairs = coprime_pairs(140)
+    assert len(pairs) == 2999
+    for pair in pairs:
+        line = repr((pair.p, pair.q, triangularity_order(construct(pair)))) + "\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == "b43aa53b74ce001851d247fcd404007f"
+
+
 def test_triangularity_rejects_non_unit_diagonal():
     sc = sc_for(2, 3)
     pi_star = (rootlab.neg(sc.pi_star[0]),) + sc.pi_star[1:]
