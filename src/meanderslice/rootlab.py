@@ -153,16 +153,15 @@ def positive_wrt(r, pos):
 
 
 def expand_in_path_system(r, pos):
-    """Coefficients {i: +-1} of r over the path-system roots
-    e_{c_i} - e_{c_{i+1}}, with `pos` the position map of the path c: r is
-    plus or minus the sum of the roots strictly between its endpoints.
-    RootError when r is not a root or `pos` misses an endpoint."""
+    """The interval (lo, hi, sign) of r over the path-system roots
+    e_{c_i} - e_{c_{i+1}}, with `pos` the position map of the path c: its
+    endpoints sit at positions lo < hi, and r is sign times the sum of the
+    roots lo..hi-1.  RootError when r is not a root or `pos` misses an
+    endpoint."""
     if r is None:
         raise RootError("not a root")
     try:
         i, j = pos[r[0]], pos[r[1]]
     except KeyError:
         raise RootError("the path does not cover the support of %r" % (r,)) from None
-    if i < j:
-        return dict.fromkeys(range(i, j), 1)
-    return dict.fromkeys(range(j, i), -1)
+    return (i, j, 1) if i < j else (j, i, -1)

@@ -15,6 +15,7 @@ result the checker rejects raises ConstructionFailed.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from . import rootlab
@@ -370,52 +371,46 @@ def construct(pair):
 def triangularity_order(sc):
     """Total order on 1..n-1 making the rule changes unitriangular.
 
-    Each value has a level: 0 unchanged, 2 a simple-interval change, 3 a
-    compound change.  Each step takes the smallest (level, index) among the
-    values whose dependencies are all placed, so within a level an index
-    can wait for a larger one: (8,11) places its level-2 values as 2, 8,
-    10, 14, 12, since the expansion of 12 uses 14.  No two levels
-    interleave on any pair with n <= 200.  Verified on the pre-repair
-    values: each signed changed value must expand over the original signed
-    chain (the chain values between its endpoints along phi, times eps,
-    read off the interval of their positions) with unit diagonal and
-    support only on earlier values, or ConstructionRuleError is raised.
+    Verified on the pre-repair values, each read as one interval of the
+    walk: its endpoints sit at positions lo < hi on phi, and it is sign
+    times the chain values beta_lo..beta_{hi-1}.  Each must have unit
+    diagonal over the signed chain, lo <= i < hi and sign == eps_i, or
+    ConstructionRuleError is raised.  A value of length 1 is its own chain
+    value; these come first, in index order.  A longer value is a change of
+    level 2 (simple interval) or 3 (compound) and waits for the longer
+    values whose index lies in its interval; each step takes the smallest
+    (level, index) among those ready, so within a level an index can wait
+    for a larger one: (8,11) places its level-2 values as 2, 8, 10, 14, 12.
+    No two levels interleave on any pair with n <= 200.  A cycle among the
+    changes is a ConstructionRuleError.
     """
-    import heapq
-
     td = sc.turning
-    n = td.pair.n
     where = rootlab.path_positions(td.traversal.phi)
-    levels = {i: 0 for i in range(1, n)}
+    order, spans = [], {}
+    for i in range(1, td.pair.n):
+        lo, hi, sign = rootlab.expand_in_path_system(sc.pi_star[i - 1], where)
+        if not (lo <= i < hi and sign == td.eps[i - 1]):
+            raise ConstructionRuleError("diagonal is not 1 at beta_%d" % i)
+        if hi - lo == 1:
+            order.append(i)
+        else:
+            spans[i] = (lo, hi)
+    levels = {}
     for idx, entry in sc.ledger.entries.items():
         s, t = entry.span
-        gap = td.label_of[t] - td.label_of[s]
-        compound = entry.case in ("compound", "compound-short") or gap > 1
-        levels[idx] = 3 if compound else 2
-    expansion = {}
-    for i in range(1, n):
-        coeffs = rootlab.expand_in_path_system(sc.pi_star[i - 1], where)
-        row = {j: c * td.eps[j - 1] for j, c in coeffs.items()}
-        if row.get(i) != 1:
-            raise ConstructionRuleError("diagonal is not 1 at beta_%d" % i)
-        expansion[i] = row
-    # deterministic topological sort of the dependency graph, smallest
-    # (level, index) first
-    deps = {i: set(j for j in expansion[i] if j != i) for i in range(1, n)}
-    users = {i: set() for i in range(1, n)}
-    for i, js in deps.items():
-        for j in js:
-            users[j].add(i)
-    heap = [(levels[i], i) for i in range(1, n) if not deps[i]]
+        compound = entry.case in ("compound", "compound-short")
+        levels[idx] = 3 if compound or td.label_of[t] - td.label_of[s] > 1 else 2
+    deps = {i: {j for j in spans if j != i and lo <= j < hi} for i, (lo, hi) in spans.items()}
+    heap = [(levels.get(i, 0), i) for i, js in deps.items() if not js]
     heapq.heapify(heap)
-    order = []
     while heap:
         _, i = heapq.heappop(heap)
         order.append(i)
-        for u in sorted(users[i]):
-            deps[u].discard(i)
-            if not deps[u]:
-                heapq.heappush(heap, (levels[u], u))
-    if len(order) != n - 1:
+        for u, js in deps.items():
+            if i in js:
+                js.remove(i)
+                if not js:
+                    heapq.heappush(heap, (levels.get(u, 0), u))
+    if len(order) != td.pair.n - 1:
         raise ConstructionRuleError("cycle detected among the changed values")
     return tuple(order)

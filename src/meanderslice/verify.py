@@ -469,20 +469,15 @@ def complement_check(form, root):
 def completed_element(sc):
     """Sorted support of y'': the modified system itself plus, for every
     changed non-exceptional index, the original signed value.  Each added
-    root must be positive and non-simple for the new path order."""
+    root is positive for the path order by condition (d), which `construct`
+    certifies on these changed values and this order.  None is simple for
+    the path: a simple root is a path edge, so it is in pi_final and the
+    support would repeat it.  `path_order_regular` certifies the result."""
     td = sc.turning
     support = list(sc.pi_final)
-    pos = rootlab.path_positions(sc.order)
     for i in sc.changed:
-        if i == td.e:
-            continue
-        r = rootlab.scale(td.eps[i - 1], td.betas[i - 1])
-        a, b = r
-        if not pos[a] < pos[b]:
-            raise ValueError("added root at beta_%d is not positive for the path" % i)
-        if pos[b] - pos[a] < 2:
-            raise ValueError("added root at beta_%d is simple for the path" % i)
-        support.append(r)
+        if i != td.e:
+            support.append(rootlab.scale(td.eps[i - 1], td.betas[i - 1]))
     if len(set(support)) != len(support):
         raise ValueError("the support of y'' repeats a root")
     return tuple(sorted(support))
@@ -523,8 +518,9 @@ def check_restriction(support, ap):
     eta support, the rest must have coefficient -1 (hence lie in the
     complementary nilradical)."""
     p = ap.pair.p
-    zero_one = {r for r in support if rootlab.alpha_p_coefficient(r, p) in (0, 1)}
-    minus = {r for r in support if rootlab.alpha_p_coefficient(r, p) == -1}
+    coeff = {r: rootlab.alpha_p_coefficient(r, p) for r in support}
+    zero_one = {r for r, c in coeff.items() if c in (0, 1)}
+    minus = {r for r, c in coeff.items() if c == -1}
     return {
         "matches_eta": zero_one == set(ap.eta_support),
         "rest_in_nilradical": zero_one | minus == set(support),

@@ -390,6 +390,29 @@ def test_triangularity_rejects_non_unit_diagonal():
     pi_star = (rootlab.neg(sc.pi_star[0]),) + sc.pi_star[1:]
     with pytest.raises(ConstructionRuleError, match="diagonal is not 1 at beta_1"):
         triangularity_order(replace(sc, pi_star=pi_star))
+    # the changed beta_2, with its sign flipped
+    pi_star = sc.pi_star[:1] + (rootlab.neg(sc.pi_star[1]),) + sc.pi_star[2:]
+    with pytest.raises(ConstructionRuleError, match="diagonal is not 1 at beta_2"):
+        triangularity_order(replace(sc, pi_star=pi_star))
+    # beta_1 replaced by -eps_3 beta_3: the sign of eps_1, but off index 1
+    assert sc.turning.eps[0] == -sc.turning.eps[2]
+    pi_star = (rootlab.neg(sc.pi_star[2]),) + sc.pi_star[1:]
+    with pytest.raises(ConstructionRuleError, match="diagonal is not 1 at beta_1"):
+        triangularity_order(replace(sc, pi_star=pi_star))
+
+
+def test_triangularity_rejects_a_cycle():
+    # (3,4) changes beta_2 and beta_4; give both the interval of chain
+    # values 2..4, signed by their own eps, so each waits for the other
+    sc = sc_for(3, 4)
+    assert sorted(sc.ledger.entries) == [2, 4]
+    td = sc.turning
+    span = (td.traversal.phi[1], td.traversal.phi[4])
+    pi_star = list(sc.pi_star)
+    for i in (2, 4):
+        pi_star[i - 1] = rootlab.scale(td.eps[i - 1], span)
+    with pytest.raises(ConstructionRuleError, match="cycle detected among the changed values"):
+        triangularity_order(replace(sc, pi_star=tuple(pi_star)))
 
 
 def test_construct_fails_with_the_checker_witness(monkeypatch):
