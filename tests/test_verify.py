@@ -306,6 +306,18 @@ def test_graded_form_against_dense_oracle():
                 assert not dense_complement_oracle(s, basis, beta)
 
 
+def test_graded_form_ranks_pinned():
+    # one line repr((p, q, sorted ranks by weight)) per pair with n <= 60
+    digest = hashlib.md5()
+    pairs = coprime_pairs(60)
+    assert len(pairs) == 550
+    for pair in pairs:
+        form = graded_skew_form(adapted_pair(walk(pair)))
+        line = repr((pair.p, pair.q, sorted(form.ranks.items()))) + "\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == "3cc1a6c7e033ec9f162d6e5c94df05d0"
+
+
 class RankSpy:
     """Counts the calls of `linalg.rank_int`, the Bareiss fallback, or of
     another rank function of `linalg` named by `name`."""
