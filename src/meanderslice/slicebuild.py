@@ -207,7 +207,8 @@ def check_conditions(td, beta_now):
     (c) the exceptional value actually changed; (d) every original signed
     value except the exceptional one stays positive for the new path.
     (d) reads the changed values alone: an unchanged signed value is an
-    edge of the path that (a) certified, so it is positive.
+    edge of the path that (a) certified, so it is positive.  The result
+    keeps the signed values eps_i beta_i under "signed".
     """
     p, n = td.pair.p, td.pair.n
     betas, eps = td.betas, td.eps
@@ -243,6 +244,7 @@ def check_conditions(td, beta_now):
             res["witness"] = res["witness"] or "negative original values %r" % bad
     res["ok"] = res["a"] and res["b"] and res["c"] and res["d"]
     res["order"] = order
+    res["signed"] = beta_star
     return res
 
 
@@ -339,6 +341,7 @@ def construct(pair):
         ledger = build_pi_star(td, sig)
         ledger.beta_final = ledger.beta_prime
         checks = check_conditions(td, ledger.beta_prime)
+        pi_star = checks["signed"]
         used_fix = checks["a"] and checks["b"] and checks["d"] and not checks["c"]
         if used_fix:
             ledger.fix_entries, ledger.beta_final = exceptional_fix(td, ledger)
@@ -347,13 +350,6 @@ def construct(pair):
         raise ConstructionRuleError(prefix + str(ex)) from ex
     if not checks["ok"]:
         raise ConstructionFailed(prefix + str(checks["witness"]))
-    n = pair.n
-    pi_star = tuple(
-        rootlab.scale(td.eps[i], ledger.beta_prime[i]) for i in range(n - 1)
-    )
-    pi_final = tuple(
-        rootlab.scale(td.eps[i], ledger.beta_final[i]) for i in range(n - 1)
-    )
     return SliceConstruction(
         pair=pair,
         traversal=tr,
@@ -361,7 +357,7 @@ def construct(pair):
         sig=sig,
         ledger=ledger,
         pi_star=pi_star,
-        pi_final=pi_final,
+        pi_final=checks["signed"],
         order=checks["order"],
         used_exceptional_fix=used_fix,
         checks=checks,
