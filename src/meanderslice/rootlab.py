@@ -127,11 +127,11 @@ def validate_path_system(roots, n):
             raise PathSystemError("branching", "vertex with degree > 1 at edge %d->%d" % (a, b))
         succ[a] = b
         pred[b] = a
+    # in- and out-degrees are at most 1, so the edges form paths and cycles
+    # on 1..n, and their n - 1 edges leave exactly one path: at most one start
     starts = [v for v in succ if v not in pred]
     if not starts:
         raise PathSystemError("cycle", "no start vertex: edges form a cycle")
-    if len(starts) > 1:
-        raise PathSystemError("disconnected", "multiple path components")
     c = [starts[0]]
     while c[-1] in succ:
         c.append(succ[c[-1]])
