@@ -1,9 +1,9 @@
-"""Small exact linear algebra toolkit: integer matrices, fraction-free
-and modular ranks, and rational linear solves.  No floating point
-anywhere.  The certifier uses the sparse modular rank `rank_mod_prime`,
-a lower bound that its callers certify or confirm, and the Bareiss rank
-`rank_int` where it must confirm; the products and the solves are test
-oracles."""
+"""Small exact linear algebra toolkit: integer matrices, fraction-free,
+GF(2) and modular ranks, and rational linear solves.  No floating point
+anywhere.  The certifier uses the bit-packed GF(2) rank `rank_mod_2`, a
+lower bound that its callers certify by a dimension bound, and the
+Bareiss rank `rank_int` where that bound is not met; the modular rank
+`rank_mod_prime`, the products and the solves are test oracles."""
 
 from __future__ import annotations
 
@@ -61,6 +61,33 @@ def rank_int(rows):
         prev = pc
         r += 1
     return r
+
+
+def rank_mod_2(rows):
+    """Rank over GF(2) of an integer matrix given as sparse rows
+    {column: value}.
+
+    Always a lower bound for the rational rank (a minor that is odd is
+    non-zero).  Each row is packed into one int, with one bit per column
+    in the order the columns are first met, from its odd entries; it is
+    reduced by xor against the pivot rows found so far, always at its
+    lowest set bit, and becomes a pivot row if anything is left.
+    """
+    bits = {}  # column -> its bit
+    pivots = {}  # lowest set bit -> pivot row
+    for row in rows:
+        x = 0
+        for k, v in row.items():
+            if v & 1:
+                x |= 1 << bits.setdefault(k, len(bits))
+        while x:
+            low = x & -x
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = x
+                break
+            x ^= pivot
+    return len(pivots)
 
 
 def rank_mod_prime(rows, prime):

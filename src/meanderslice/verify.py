@@ -10,7 +10,7 @@ completed regular nilpotent built from the modified simple root system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from . import linalg, rootlab
 from .meander import traversal, turning_data
@@ -226,18 +226,19 @@ class GradedForm:
 
     j and k are the ids of `basis_layout`, and `weights[j]` is the integer
     ad h weight of b_j.  `position[x * stride + y]` is the id of E_xy, or -1
-    off the truncated parabolic.  eta has weight -1, so `blocks` maps each
-    row weight lam to the rows {j: {k: S_jk}} of weight lam, whose columns
-    all have weight 1 - lam.  `ranks` maps lam to the exact rank of that
-    block: the pivots that the leaf-peel of `_peel_ranks` removed from it,
-    which need no arithmetic, plus the certified rank of the core that is
-    left (`_block_rank`).  rank S is their sum.
+    off the truncated parabolic.  `rows[j]` is the row {k: S_jk} of id j;
+    eta has weight -1, so its columns all have weight 1 - weights[j], and
+    the rows of weight lam form the block V_lam x V_{1-lam}.  `ranks` maps
+    each lam with a non-empty block to the exact rank of that block: the
+    pivots that the leaf-peel of `_peel_ranks` removed from it, which need
+    no arithmetic, plus the certified rank of the core that is left
+    (`_block_rank`).  rank S is their sum.
     """
 
     weights: tuple
     position: list
     stride: int
-    blocks: dict
+    rows: list
     ranks: dict
 
     @property
@@ -249,22 +250,19 @@ class GradedForm:
         return sum(self.ranks.values())
 
 
-# the prime of the modular block ranks
-_PRIME = 2**31 - 1
-
-
 def _block_rank(rows):
     """Exact rank of one block of sparse rows {column: value}: the core that
     the leaf-peel leaves of a skew-form block (`_peel_ranks`), or a whole
     block plus one row (`complement_check`).
 
-    Its rank modulo `_PRIME` is a lower bound (a minor that is non-zero mod
-    a prime is non-zero), and its numbers of rows and of distinct columns
-    are upper bounds, so a modular rank that meets either count is exact
-    for this block alone.  Any other block is ranked by Bareiss elimination.
+    Its rank over GF(2) (`linalg.rank_mod_2`) is a lower bound (a minor
+    that is odd is non-zero), and its numbers of rows and of distinct
+    columns are upper bounds, so a GF(2) rank that meets either count is
+    exact for this block alone.  Any other block is ranked by Bareiss
+    elimination.
     """
     rows = list(rows)
-    rank = linalg.rank_mod_prime(rows, _PRIME)
+    rank = linalg.rank_mod_2(rows)
     if rank < len(rows):
         cols = {k for row in rows for k in row}
         if rank < len(cols):
@@ -285,53 +283,82 @@ def _eta_index(support, size):
     return by_row, by_col
 
 
-def _form_row(j, elements, index, position, diagonal):
-    """Row {k: S_jk} of the skew form for the basis element of id j (the
-    lists of `basis_layout`, `index` from `_eta_index`).
+def _form_rows(elements, index, position, diagonal):
+    """The rows {k: S_jk} of the skew form, one per basis id j (the lists
+    of `basis_layout`, `index` from `_eta_index`).
 
     S_jk = trace([eta, b_j] b_k).  [eta, E_cd] has +1 at (a, d) for each
     entry (a, c) of eta and -1 at (c, e) for each entry (d, e).  An
     off-diagonal entry (x, y) of the commutator pairs with E_yx, and a
-    diagonal one (x, x) with H_x and, negated, with H_{x-1}.  b_j = H_c is
-    E_cc - E_{c+1,c+1}; eta has no diagonal entry, so neither term of H_c
-    lands on the diagonal.  Id -1 names no basis element and is skipped.  A
-    row costs O(1), and no two of its terms cancel, so every stored entry
-    is non-zero; `graded_skew_form` checks that.
+    diagonal one (x, x) with H_x and, negated, with H_{x-1}.  The two terms
+    reach E_da and E_ec, which coincide only if a = c, and no root has
+    a = c; so every entry of a row E_cd at some E_xy is assigned once, and
+    only its entries at H_x sum.  b_j = H_c is E_cc - E_{c+1,c+1}; eta has
+    no diagonal entry, so neither term of H_c lands on the diagonal, and
+    its entries sum.  Id -1 names no basis element and is skipped.  A row
+    costs O(1), and no two of its terms cancel, so every stored entry is
+    non-zero; `graded_skew_form` checks that.
     """
     by_row, by_col = index
     w = len(diagonal)
-    c, d = elements[j]
-    row = {}
-    if c != d:
-        for a in by_col[c]:
-            if a != d:
-                k = position[d * w + a]
-                if k >= 0:
-                    row[k] = row.get(k, 0) + 1
-            else:
-                for k, v in ((diagonal[a], 1), (diagonal[a - 1], -1)):
+    rows = []
+    for c, d in elements:
+        row = {}
+        if c != d:
+            for a in by_col[c]:
+                if a != d:
+                    k = position[d * w + a]
+                    if k >= 0:
+                        row[k] = 1
+                else:
+                    for k, v in ((diagonal[a], 1), (diagonal[a - 1], -1)):
+                        if k >= 0:
+                            row[k] = row.get(k, 0) + v
+            for e in by_row[d]:
+                if e != c:
+                    k = position[e * w + c]
+                    if k >= 0:
+                        row[k] = -1
+                else:
+                    for k, v in ((diagonal[c], -1), (diagonal[c - 1], 1)):
+                        if k >= 0:
+                            row[k] = row.get(k, 0) + v
+        else:
+            for x, v in ((c, 1), (c + 1, -1)):
+                for a in by_col[x]:
+                    k = position[x * w + a]
                     if k >= 0:
                         row[k] = row.get(k, 0) + v
-        for e in by_row[d]:
-            if e != c:
-                k = position[e * w + c]
-                if k >= 0:
-                    row[k] = row.get(k, 0) - 1
-            else:
-                for k, v in ((diagonal[c], -1), (diagonal[c - 1], 1)):
+                for e in by_row[x]:
+                    k = position[e * w + x]
                     if k >= 0:
-                        row[k] = row.get(k, 0) + v
-    else:
-        for x, v in ((c, 1), (c + 1, -1)):
-            for a in by_col[x]:
-                k = position[x * w + a]
-                if k >= 0:
-                    row[k] = row.get(k, 0) + v
-            for e in by_row[x]:
-                k = position[e * w + x]
-                if k >= 0:
-                    row[k] = row.get(k, 0) - v
-    return row
+                        row[k] = row.get(k, 0) - v
+        rows.append(row)
+    return rows
+
+
+def _check_entries(rows, weights, ids):
+    """The number of entries S_jk stored in the rows j in `ids`.  Raises
+    ValueError at the first of them that lies outside its block
+    V_lam x V_{1-lam}, is stored as 0, or is not minus S_kj."""
+    count = 0
+    for j in ids:
+        lam = weights[j]
+        row = rows[j]
+        count += len(row)
+        for k, v in row.items():
+            if weights[k] != 1 - lam or not v or rows[k].get(j) != -v:
+                if weights[k] != 1 - lam:
+                    raise ValueError(
+                        "skew-form entry (%d, %d) has weights %d + %d, not 1"
+                        % (j, k, lam, weights[k])
+                    )
+                if not v:
+                    raise ValueError("skew-form entry (%d, %d) is stored as 0" % (j, k))
+                raise ValueError(
+                    "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
+                )
+    return count
 
 
 def _peel_ranks(rows, weights, lams):
@@ -350,7 +377,7 @@ def _peel_ranks(rows, weights, lams):
     block that has a core.  O(nnz) apart from the cores.
     """
     ranks = dict.fromkeys(lams, 0)
-    live = [len(row) for row in rows]  # live degree; 0 once removed or isolated
+    live = list(map(len, rows))  # live degree; 0 once removed or isolated
     leaves = [j for j, degree in enumerate(live) if degree == 1]
     for j in leaves:  # grows while it is walked
         if live[j] != 1:  # removed, or left isolated, since it was queued
@@ -359,17 +386,18 @@ def _peel_ranks(rows, weights, lams):
             if live[k]:
                 break
         live[j] = live[k] = 0
-        ranks[max(weights[j], weights[k])] += 1  # the weights sum to 1
+        lam = weights[j]
+        ranks[lam if lam >= 1 else 1 - lam] += 1  # the weights sum to 1
         for i in rows[k]:
             if live[i]:
                 live[i] -= 1
                 if live[i] == 1:
                     leaves.append(i)
     cores = {}
-    for j, row in enumerate(rows):
-        if live[j] and weights[j] >= 1:
-            core_row = {k: v for k, v in row.items() if live[k]}
-            cores.setdefault(weights[j], []).append(core_row)
+    for j in compress(range(len(rows)), live):
+        lam = weights[j]
+        if lam >= 1:
+            cores.setdefault(lam, []).append({k: v for k, v in rows[j].items() if live[k]})
     for lam, core in cores.items():
         ranks[lam] += _block_rank(core)
     return ranks
@@ -377,51 +405,46 @@ def _peel_ranks(rows, weights, lams):
 
 def graded_skew_form(ap):
     """The skew form of eta = sum of x_beta over the support of the adapted
-    pair `ap`, built one row at a time (`_form_row`) over the integer ids of
+    pair `ap`, built in one call (`_form_rows`) over the integer ids of
     `basis_layout` and ranked by one leaf-peel of the whole form
     (`_peel_ranks`).
 
-    The weights come from the integral h of `ap`.  Three checks run on
-    every stored entry, so none is assumed: an entry outside its block
+    The weights come from the integral h of `ap`.  Three checks cover every
+    stored entry, so none is assumed: an entry outside its block
     V_lam x V_{1-lam} raises ValueError, and so do a stored 0 (the peel
     counts every stored entry as a pivot candidate) and an entry S_jk that
-    is not minus S_kj.  Block 1 - lam is then minus the transpose of block
-    lam, so only the blocks with lam >= 1 are ranked, and each rank is
-    copied to block 1 - lam; no block pairs with itself, since 2 lam = 1
-    has no integer solution.  Each rank is the number of pivots peeled in
-    its block plus the certified rank of its core.
+    is not minus S_kj.  They run on the entries of the rows of weight
+    lam >= 1, each against its partner row, and then the rows of weight
+    < 1 must hold exactly as many entries.  A checked entry (j, k) has its
+    partner (k, j) in a row of weight 1 - lam < 1, and (j, k) -> (k, j) is
+    injective; equal counts make it a bijection onto the entries of those
+    rows, so each of them is the partner of a checked entry, and each pair
+    of entries is checked once.  On unequal counts every row is scanned,
+    and the scan raises at the first entry that fails a check: one does,
+    since an entry of a row of weight < 1 is left that is no checked
+    entry's partner.
+    Block 1 - lam is then minus the transpose of block lam, so only the
+    blocks with lam >= 1 are ranked, and each rank is copied to block
+    1 - lam; no block pairs with itself, since 2 lam = 1 has no integer
+    solution.  Each rank is the number of pivots peeled in its block plus
+    the certified rank of its core.
     """
     elements, position, diagonal = basis_layout(ap.pair)
-    h = ap.h
-    weights = [h[x - 1] - h[y - 1] for x, y in elements]  # 0 on each H_x
+    h = (0, *ap.h)  # 1-based
+    weights = [h[x] - h[y] for x, y in elements]  # 0 on each H_x
     index = _eta_index(ap.eta_support, len(diagonal))
-    rows = [_form_row(j, elements, index, position, diagonal) for j in range(len(elements))]
-    blocks = {}
-    for j, row in enumerate(rows):
-        if not row:
-            continue
-        lam = weights[j]
-        for k, v in row.items():
-            if weights[k] != 1 - lam or not v or rows[k].get(j) != -v:
-                if weights[k] != 1 - lam:
-                    raise ValueError(
-                        "skew-form entry (%d, %d) has weights %d + %d, not 1"
-                        % (j, k, lam, weights[k])
-                    )
-                if not v:
-                    raise ValueError("skew-form entry (%d, %d) is stored as 0" % (j, k))
-                raise ValueError(
-                    "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
-                )
-        blocks.setdefault(lam, {})[j] = row
-    ranks = _peel_ranks(rows, weights, [lam for lam in blocks if lam >= 1])
+    rows = _form_rows(elements, index, position, diagonal)
+    high = [j for j, lam in enumerate(weights) if lam >= 1 and rows[j]]
+    if 2 * _check_entries(rows, weights, high) != sum(map(len, rows)):
+        _check_entries(rows, weights, range(len(rows)))
+    ranks = _peel_ranks(rows, weights, dict.fromkeys(weights[j] for j in high))
     for lam in list(ranks):
         ranks[1 - lam] = ranks[lam]
     return GradedForm(
         weights=tuple(weights),
         position=position,
         stride=len(diagonal),
-        blocks=blocks,
+        rows=rows,
         ranks=ranks,
     )
 
@@ -460,7 +483,8 @@ def complement_check(form, root):
     k = form.position[b * form.stride + a]
     if k >= 0:
         lam = 1 - form.weights[k]
-        rows = list(form.blocks.get(lam, {}).values()) + [{k: 1}]
+        rows = [row for row, weight in zip(form.rows, form.weights) if weight == lam and row]
+        rows.append({k: 1})
         if _block_rank(rows) > form.ranks.get(lam, 0):
             rank += 1
     return rank == form.dim

@@ -17,7 +17,7 @@ compare the two.
 
 from itertools import accumulate, product
 
-from meanderslice import linalg, rootlab, verify
+from meanderslice import linalg, rootlab
 from meanderslice.meander import sigma, tau, traversal, turning_data
 from meanderslice.slicebuild import (
     ChangeEntry,
@@ -236,6 +236,20 @@ def _dict_form_row(b, index, position, diagonal):
     return {k: v for k, v in row.items() if v}
 
 
+# the prime of the modular oracle ranks
+PRIME = 2**31 - 1
+
+
+def form_blocks(form):
+    """The blocks of a `verify.GradedForm`, keyed by row weight lam: the
+    non-empty rows {j: {k: S_jk}} of weight lam, in id order."""
+    blocks = {}
+    for j, row in enumerate(form.rows):
+        if row:
+            blocks.setdefault(form.weights[j], {})[j] = row
+    return blocks
+
+
 def dense_block_rank(rows):
     """Bareiss rank of sparse rows {column: value}, written out densely over
     their columns: the exact rank with no modular step."""
@@ -272,7 +286,7 @@ def dict_graded_form(ap):
         if row:
             blocks.setdefault(weights[j], {})[j] = row
     ranks = {
-        lam: linalg.rank_mod_prime(rows.values(), verify._PRIME) for lam, rows in blocks.items()
+        lam: linalg.rank_mod_prime(rows.values(), PRIME) for lam, rows in blocks.items()
     }
     if sum(ranks.values()) != len(basis) - len(basis) % 2:
         ranks = {lam: dense_block_rank(rows.values()) for lam, rows in blocks.items()}

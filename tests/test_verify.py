@@ -32,7 +32,16 @@ from meanderslice.verify import (
     skew_form_matrix,
     weyl_permutation,
 )
-from oracles import dense, dense_block_rank, dict_graded_form, dict_parabolic_basis, dot, walk
+from oracles import (
+    PRIME,
+    dense,
+    dense_block_rank,
+    dict_graded_form,
+    dict_parabolic_basis,
+    dot,
+    form_blocks,
+    walk,
+)
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -80,14 +89,23 @@ small_matrices = st.integers(1, 6).flatmap(
 )
 
 
-@given(small_matrices, st.sampled_from((2, 3, 5, 7, verify._PRIME)))
+@given(small_matrices, st.sampled_from((2, 3, 5, 7, PRIME)))
 def test_rank_mod_prime_is_a_lower_bound(rows, prime):
     exact = linalg.rank_int(rows)
     rank = linalg.rank_mod_prime([dict(enumerate(r)) for r in rows], prime)
     assert rank <= exact
-    if prime == verify._PRIME:
+    if prime == PRIME:
         # every minor is below (4 * sqrt(6))^6 < 2^31 - 1 in absolute value
         assert rank == exact
+
+
+@given(small_matrices, st.permutations(range(6)))
+def test_rank_mod_2_is_the_rank_mod_prime_2(rows, columns):
+    # sparse rows over arbitrary column ids, zeros stored as well
+    sparse = [{columns[j]: v for j, v in enumerate(r)} for r in rows]
+    rank = linalg.rank_mod_2(sparse)
+    assert rank == linalg.rank_mod_prime(sparse, 2)
+    assert rank <= linalg.rank_int(rows)
 
 
 def test_solve_unique():
@@ -213,6 +231,16 @@ def test_adapted_pair_rejects_malformed_union(monkeypatch):
         adapted_pair(walk(CoprimePair(2, 3)))
 
 
+def test_adapted_pair_rejects_an_m_off_the_closed_form(monkeypatch):
+    monkeypatch.setattr(verify, "alpha_eigenvalue", lambda pair: 0)
+    with pytest.raises(AdaptedPairError) as info:
+        adapted_pair(walk(CoprimePair(2, 3)))
+    assert str(info.value) == (
+        "no certified adapted pair for (2,3): "
+        "the eigenvalue m = 8 on x_alpha breaks the closed form"
+    )
+
+
 # --- regularity of eta ----------------------------------------------------
 
 def test_eta_regularity_witnesses():
@@ -288,13 +316,14 @@ def test_graded_form_against_dense_oracle():
         s, basis = skew_form_matrix(pair, ap)
         d = len(basis)
         # every non-zero dense entry sits in the block of its row weight
+        blocks = form_blocks(form)
         nonzero = 0
         for j, row in enumerate(s):
             for k, v in enumerate(row):
                 if v:
                     nonzero += 1
-                    assert form.blocks[form.weights[j]][j][k] == v
-        assert nonzero == sum(len(r) for rows in form.blocks.values() for r in rows.values())
+                    assert blocks[form.weights[j]][j][k] == v
+        assert nonzero == sum(len(r) for rows in blocks.values() for r in rows.values())
         reg = eta_regularity(form)
         assert reg["stabiliser_dim"] == d - verify.certified_rank(s, d - 1) == 1
         assert complement_check(form, ap.alpha) == dense_complement_oracle(
@@ -339,7 +368,7 @@ def test_graded_form_against_dict_oracle():
         form = graded_skew_form(ap)
         weights, blocks, ranks = dict_graded_form(ap)
         assert form.weights == weights
-        assert form.blocks == blocks
+        assert form_blocks(form) == blocks
         assert form.ranks == ranks
 
 
@@ -349,7 +378,7 @@ def complement_rows(form, root):
     a, b = root
     k = form.position[b * form.stride + a]
     lam = 1 - form.weights[k]
-    return lam, list(form.blocks.get(lam, {}).values()) + [{k: 1}]
+    return lam, list(form_blocks(form).get(lam, {}).values()) + [{k: 1}]
 
 
 def dimension_bound(rows):
@@ -365,7 +394,7 @@ def test_block_ranks_against_bareiss(monkeypatch):
         forms.append(form)
         assert complement_check(form, ap.alpha)
         # each ranked block, and the block x_alpha joins, meets its bound
-        for lam, rows in form.blocks.items():
+        for lam, rows in form_blocks(form).items():
             if lam >= 1:
                 assert form.ranks[lam] == dimension_bound(rows.values())
         lam, rows = complement_rows(form, ap.alpha)
@@ -373,12 +402,13 @@ def test_block_ranks_against_bareiss(monkeypatch):
     # the certificate needed no Bareiss rank
     assert spy.calls == 0
     for form in forms:
-        for lam, rows in form.blocks.items():
+        blocks = form_blocks(form)
+        for lam, rows in blocks.items():
             exact = dense_block_rank(rows.values())
-            assert linalg.rank_mod_prime(rows.values(), verify._PRIME) == exact
+            assert linalg.rank_mod_prime(rows.values(), PRIME) == exact
             assert form.ranks[lam] == exact
             if lam < 1:
-                partner = form.blocks[1 - lam]
+                partner = blocks[1 - lam]
                 assert form.ranks[1 - lam] == exact
                 assert {(j, k): v for j, row in rows.items() for k, v in row.items()} == {
                     (j, k): -v for k, row in partner.items() for j, v in row.items()
@@ -394,7 +424,7 @@ def peel_errors(form):
     the whole block by `_block_rank`, or is not copied to block 1 - lam."""
     return [
         lam
-        for lam, rows in form.blocks.items()
+        for lam, rows in form_blocks(form).items()
         if lam >= 1 and not form.ranks[lam] == form.ranks[1 - lam] == whole_block_rank(rows.values())
     ]
 
@@ -421,6 +451,18 @@ def test_peel_ranks_against_whole_block_ranks(monkeypatch):
         # the peel leaves one square core of n - 2 rows, and none when p = 1
         shapes = [(len(core), len({k for row in core for k in row})) for core in cores]
         assert shapes == ([] if pair.p == 1 else [(pair.n - 2, pair.n - 2)])
+
+
+def test_gf2_ranks_need_no_bareiss(monkeypatch):
+    # every core of the peel, and every block x_alpha joins, meets its
+    # dimension bound over GF(2)
+    spy = RankSpy(monkeypatch)
+    for pair in coprime_pairs(60):
+        ap = adapted_pair(walk(pair))
+        form = graded_skew_form(ap)
+        assert eta_regularity(form)["stabiliser_dim"] == 1
+        assert complement_check(form, ap.alpha)
+    assert spy.calls == 0
 
 
 def mutant_verify(monkeypatch, old, new):
@@ -461,22 +503,22 @@ def test_peel_mutants_fail_the_whole_block_oracle(monkeypatch, mutation):
 def mutated_form(monkeypatch, ap, mutate):
     """graded_skew_form with `mutate(j, row)` applied to the built row of
     each basis id j."""
-    build = verify._form_row
+    build = verify._form_rows
 
-    def form_row(j, *args):
-        row = build(j, *args)
-        mutate(j, row)
-        return row
+    def form_rows(*args):
+        rows = build(*args)
+        for j, row in enumerate(rows):
+            mutate(j, row)
+        return rows
 
-    monkeypatch.setattr(verify, "_form_row", form_row)
+    monkeypatch.setattr(verify, "_form_rows", form_rows)
     return graded_skew_form(ap)
 
 
-def scaled_entry(j0, k0, factor=verify._PRIME):
+def scaled_entry(j0, k0, factor=2):
     """A `mutated_form` mutation: S_j0k0 and S_k0j0 times `factor`.  On an
-    entry alone in its row and in its column, a factor of `_PRIME` scales a
-    row, so the rank over Q is unchanged, while the rank modulo the prime
-    drops by 1."""
+    entry alone in its row and in its column, an even factor scales a row,
+    so the rank over Q is unchanged, while the rank over GF(2) drops by 1."""
 
     def scale_entry(j, row):
         for a, b in ((j0, k0), (k0, j0)):
@@ -487,14 +529,14 @@ def scaled_entry(j0, k0, factor=verify._PRIME):
 
 
 def scaled_line(i0):
-    """A `mutated_form` mutation: every entry S_i0k and S_ki0 times
-    `_PRIME`.  In the block of i0 this scales one row or column, so the rank
-    over Q is unchanged, while modulo the prime that line vanishes."""
+    """A `mutated_form` mutation: every entry S_i0k and S_ki0 times 2.  In
+    the block of i0 this scales one row or column, so the rank over Q is
+    unchanged, while over GF(2) that line vanishes."""
 
     def scale_line(j, row):
         for k in row:
             if i0 in (j, k):
-                row[k] *= verify._PRIME
+                row[k] *= 2
 
     return scale_line
 
@@ -502,10 +544,11 @@ def scaled_line(i0):
 def leaf_entry(form):
     """An entry (j, k) of a ranked block, lam >= 1, alone in its row and in
     its column: a pivot of the leaf-peel."""
-    column_counts = Counter(k for rows in form.blocks.values() for row in rows.values() for k in row)
+    blocks = form_blocks(form)
+    column_counts = Counter(k for rows in blocks.values() for row in rows.values() for k in row)
     return next(
         (j, k)
-        for lam, rows in sorted(form.blocks.items())
+        for lam, rows in sorted(blocks.items())
         if lam >= 1
         for j, row in rows.items()
         for k in row
@@ -518,15 +561,13 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
     ap = adapted_pair(walk(pair))
     _, cores = peel_cores(monkeypatch, ap)
     # the one core that the peel leaves is square and of full rank, so any
-    # of its columns vanishing modulo the prime drops its modular rank
+    # of its columns vanishing over GF(2) drops its GF(2) rank
     (core,) = cores
     k0 = min(k for row in core for k in row)
 
     spy = RankSpy(monkeypatch)
     mutated = mutated_form(monkeypatch, ap, scaled_line(k0))
-    modular = sum(
-        linalg.rank_mod_prime(rows.values(), verify._PRIME) for rows in mutated.blocks.values()
-    )
+    modular = sum(linalg.rank_mod_2(rows.values()) for rows in form_blocks(mutated).values())
     assert modular < mutated.dim - 1
     # only the tampered core falls short of its bound
     assert spy.calls == 1
@@ -539,7 +580,7 @@ def test_scaled_leaf_needs_no_arithmetic(monkeypatch):
     (j0, k0) = leaf_entry(graded_skew_form(ap))
     spy = RankSpy(monkeypatch)
     mutated = mutated_form(monkeypatch, ap, scaled_entry(j0, k0))
-    assert abs(mutated.blocks[mutated.weights[j0]][j0][k0]) == verify._PRIME
+    assert abs(mutated.rows[j0][k0]) == 2
     # the peel counts the leaf whatever its value: no Bareiss rank
     assert spy.calls == 0
     assert eta_regularity(mutated)["stabiliser_dim"] == 1
@@ -565,7 +606,7 @@ def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
     # a row in a pair of square blocks of full rank: the kernel of S misses it
     j0 = next(
         j
-        for lam, rows in sorted(form.blocks.items())
+        for lam, rows in sorted(form_blocks(form).items())
         if sizes[lam] == sizes[1 - lam] == form.ranks[lam]
         for j in rows
     )
@@ -586,7 +627,8 @@ def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
     pair = CoprimePair(2, 3)
     ap = adapted_pair(walk(pair))
     form = graded_skew_form(ap)
-    j0, row0 = next(iter(form.blocks[max(form.blocks)].items()))
+    blocks = form_blocks(form)
+    j0, row0 = next(iter(blocks[max(blocks)].items()))
     k0 = next(iter(row0))
 
     def tamper(j, row):  # S_jk + 1 stays in its block, but S_kj = -S_jk breaks
@@ -600,6 +642,36 @@ def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
         "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (a, b, b, a)
         for a, b in ((j0, k0), (k0, j0))
     }
+
+
+def test_graded_form_rejects_an_entry_stored_below_weight_1_alone(monkeypatch):
+    pair = CoprimePair(2, 3)
+    ap = adapted_pair(walk(pair))
+    form = graded_skew_form(ap)
+    # an entry of a row of weight < 1, in its block, whose partner row of
+    # weight >= 1 does not store it
+    j0, k0 = next(
+        (j, k)
+        for j, row in enumerate(form.rows)
+        if form.weights[j] < 1
+        for k, lam in enumerate(form.weights)
+        if lam == 1 - form.weights[j] and k not in row
+    )
+
+    def tamper(j, row):
+        if j == j0:
+            row[k0] = 1
+
+    # the checks of the rows of weight >= 1 all pass; the entry count does
+    # not, and the scan of every row names the entry from the side of j0
+    with pytest.raises(ValueError) as info:
+        mutated_form(monkeypatch, ap, tamper)
+    assert str(info.value) == "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (
+        j0,
+        k0,
+        k0,
+        j0,
+    )
 
 
 def test_graded_form_rejects_entries_off_their_block():
@@ -621,7 +693,7 @@ def test_complement_check(monkeypatch):
         form = graded_skew_form(ap)
         before = spy.calls
         assert complement_check(form, ap.alpha)
-        assert spy.calls == before  # a modular gain is exact
+        assert spy.calls == before  # a GF(2) gain is exact
         # any eta-support root lies in the coadjoint image: rank cannot close
         for beta in ap.eta_support:
             assert not complement_check(form, beta)
@@ -638,7 +710,7 @@ def test_scaled_entry_reaches_the_complement_fallback(monkeypatch):
     # an entry alone in its row and in its column of the block x_alpha joins
     (j0, k0) = next(
         (j, c)
-        for j, row in form.blocks[lam].items()
+        for j, row in form_blocks(form)[lam].items()
         for c in row
         if len(row) == 1 and column_counts[c] == 1
     )
@@ -654,7 +726,7 @@ def test_complement_check_of_a_root_outside_the_dual(monkeypatch):
     # is not in p: its functional is zero and nothing is ranked
     forms = [(pair, graded_skew_form(adapted_pair(walk(pair)))) for pair in coprime_pairs(14)]
     bareiss = RankSpy(monkeypatch)
-    modular = RankSpy(monkeypatch, "rank_mod_prime")
+    modular = RankSpy(monkeypatch, "rank_mod_2")
     for pair, form in forms:
         assert form.position[1 * form.stride + pair.p + 1] == -1
         assert not complement_check(form, (pair.p + 1, 1))
