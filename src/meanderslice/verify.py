@@ -292,12 +292,12 @@ def _form_rows(elements, index, position, diagonal):
     off-diagonal entry (x, y) of the commutator pairs with E_yx, and a
     diagonal one (x, x) with H_x and, negated, with H_{x-1}.  The two terms
     reach E_da and E_ec, which coincide only if a = c, and no root has
-    a = c; so every entry of a row E_cd at some E_xy is assigned once, and
-    only its entries at H_x sum.  b_j = H_c is E_cc - E_{c+1,c+1}; eta has
+    a = c; so in a row E_cd each entry at some E_xy is assigned once, and
+    only the entries at H_x sum.  b_j = H_c is E_cc - E_{c+1,c+1}; eta has
     no diagonal entry, so neither term of H_c lands on the diagonal, and
-    its entries sum.  Id -1 names no basis element and is skipped.  A row
-    costs O(1), and no two of its terms cancel, so every stored entry is
-    non-zero; `graded_skew_form` checks that.
+    all entries of a row H_c sum.  Id -1 names no basis element and is
+    skipped.  A row costs O(1), and no two of its terms cancel, so every
+    stored entry is non-zero; `graded_skew_form` checks that.
     """
     by_row, by_col = index
     w = len(diagonal)
@@ -422,12 +422,11 @@ def graded_skew_form(ap):
     of entries is checked once.  On unequal counts every row is scanned,
     and the scan raises at the first entry that fails a check: one does,
     since an entry of a row of weight < 1 is left that is no checked
-    entry's partner.
-    Block 1 - lam is then minus the transpose of block lam, so only the
-    blocks with lam >= 1 are ranked, and each rank is copied to block
-    1 - lam; no block pairs with itself, since 2 lam = 1 has no integer
-    solution.  Each rank is the number of pivots peeled in its block plus
-    the certified rank of its core.
+    entry's partner.  Block 1 - lam is then minus the transpose of block
+    lam, so only the blocks with lam >= 1 are ranked, and each rank is
+    copied to block 1 - lam; no block pairs with itself, since 2 lam = 1
+    has no integer solution.  Each rank is the number of pivots peeled in
+    its block plus the certified rank of its core.
     """
     elements, position, diagonal = basis_layout(ap.pair)
     h = (0, *ap.h)  # 1-based

@@ -567,8 +567,8 @@ def test_scaled_entry_reaches_the_bareiss_fallback(monkeypatch):
 
     spy = RankSpy(monkeypatch)
     mutated = mutated_form(monkeypatch, ap, scaled_line(k0))
-    modular = sum(linalg.rank_mod_2(rows.values()) for rows in form_blocks(mutated).values())
-    assert modular < mutated.dim - 1
+    gf2 = sum(linalg.rank_mod_2(rows.values()) for rows in form_blocks(mutated).values())
+    assert gf2 < mutated.dim - 1
     # only the tampered core falls short of its bound
     assert spy.calls == 1
     assert eta_regularity(mutated)["stabiliser_dim"] == 1
@@ -726,11 +726,11 @@ def test_complement_check_of_a_root_outside_the_dual(monkeypatch):
     # is not in p: its functional is zero and nothing is ranked
     forms = [(pair, graded_skew_form(adapted_pair(walk(pair)))) for pair in coprime_pairs(14)]
     bareiss = RankSpy(monkeypatch)
-    modular = RankSpy(monkeypatch, "rank_mod_2")
+    gf2 = RankSpy(monkeypatch, "rank_mod_2")
     for pair, form in forms:
         assert form.position[1 * form.stride + pair.p + 1] == -1
         assert not complement_check(form, (pair.p + 1, 1))
-    assert bareiss.calls == modular.calls == 0
+    assert bareiss.calls == gf2.calls == 0
 
 
 # --- completed element ----------------------------------------------------
