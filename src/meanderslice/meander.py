@@ -37,9 +37,7 @@ class CoprimePair:
             raise NotCoprimeError(
                 "gcd(%d,%d)=%d: the orbit splits" % (self.p, self.q, math.gcd(self.p, self.q))
             )
-        # coprimality forces exactly one of p, q, n to be even
-        if (self.p % 2 == 0) + (self.q % 2 == 0) + ((self.p + self.q) % 2 == 0) != 1:
-            raise MeanderError("exactly one of p, q, p + q must be even")
+        # so p and q are not both even: exactly one of p, q, n is even
 
     @property
     def n(self):
@@ -69,7 +67,14 @@ class Traversal:
 
 
 def traversal(pair):
-    """Walk the orbit from a, alternating sigma and tau."""
+    """Walk the orbit from a, alternating sigma and tau.
+
+    tau fixes a by its formula: for odd p, a = (p+1)/2 <= p and
+    tau(a) = p + 1 - a; for even p, q is odd and tau(a) = n + p + 1 - a.
+    The involution that would come after b fixes it: sigma fixes
+    b = (n+1)/2 for odd n, and for even n, p and q are odd and tau fixes
+    b = p + (q+1)/2.  That the walk visits every value and ends at b is
+    checked."""
     p, q, n = pair.p, pair.q, pair.n
     if p % 2 == 1:
         a = (p + 1) // 2
@@ -77,8 +82,6 @@ def traversal(pair):
     else:
         b = (n + 1) // 2
         a = p + (q + 1) // 2
-    if tau(a, p, n) != a:
-        raise MeanderError("the starting point %d is not fixed by tau" % a)
     phi = [a]
     for i in range(1, n):
         prev = phi[-1]
@@ -87,10 +90,6 @@ def traversal(pair):
         raise NotCoprimeError("orbit is not a single cycle")
     if phi[-1] != b:
         raise MeanderError("the walk ends at %d, not at %d" % (phi[-1], b))
-    # the walk must terminate at b: the pending involution fixes it
-    pending = sigma(b, n) if n % 2 == 1 else tau(b, p, n)
-    if pending != b:
-        raise MeanderError("the pending involution moves the end point %d" % b)
     return Traversal(pair=pair, phi=tuple(phi), a=a, b=b)
 
 
@@ -132,7 +131,7 @@ def turning_data(tr):
     Certifies the walk lemmas, raising MeanderError otherwise: p + 1
     turning points, the first and last at the ends of the walk, alternate
     between the A and B sides; isolated values are nil; exactly one value,
-    beta_e = +- a_{m/2}, is +- a simple root, and it is not nil."""
+    beta_e = +- a_{m/2}, is +- a simple root."""
     pair = tr.pair
     p, q, n = pair.p, pair.q, pair.n
     A, B = turning_set_closed_form(pair)
@@ -170,8 +169,8 @@ def turning_data(tr):
     alpha_idx = min(tr.phi[e - 1], tr.phi[e])
     if alpha_idx != m // 2:
         raise MeanderError("exceptional value must be +- a_{m/2}")
-    if nil[e - 1]:
-        raise MeanderError("the exceptional value is never nil")
+    # m/2 is p/2, p + q/2 or (p+q)/2, never p (p < q once n > 2), so
+    # beta_e = +- a_{m/2} has no a_p: it is not nil
 
     return TurningData(
         pair=pair,
@@ -201,7 +200,9 @@ class Signature:
 def signature(td):
     """Per A turning point: -1 if the nil boundary value is above it,
     +1 if below.  The published signature keeps the first floor(p/2)
-    entries; run starts are recorded over the full vector."""
+    entries; run starts are recorded over the full vector.  For odd p the
+    walk starts at a = (p+1)/2, the least value of A, so the first A point
+    is t = 1: no value lies above it, and its entry is +1."""
     p = td.pair.p
     full = []
     for t in td.positions:
@@ -213,8 +214,6 @@ def signature(td):
             raise MeanderError("exactly one boundary value of an A point is nil")
         full.append(1 if below else -1)
     full = tuple(full)
-    if p % 2 == 1 and full[0] != 1:
-        raise MeanderError("odd p forces a nil value below the first A point")
     changes = [1]
     for j in range(1, len(full)):
         if full[j] != full[j - 1]:

@@ -228,11 +228,13 @@ class GradedForm:
     ad h weight of b_j.  `position[x * stride + y]` is the id of E_xy, or -1
     off the truncated parabolic.  `rows[j]` is the row {k: S_jk} of id j;
     eta has weight -1, so its columns all have weight 1 - weights[j], and
-    the rows of weight lam form the block V_lam x V_{1-lam}.  `ranks` maps
-    each lam with a non-empty block to the exact rank of that block: the
-    pivots that the leaf-peel of `_peel_ranks` removed from it, which need
-    no arithmetic, plus the certified rank of the core that is left
-    (`_block_rank`).  rank S is their sum.
+    the rows of weight lam form the block V_lam x V_{1-lam}.  Only the rows
+    of weight >= 1 are built; the others hold their entries negated, so the
+    form is alternating by construction.  `ranks` maps each lam with a
+    non-empty block to the exact rank of that block: the pivots that the
+    leaf-peel of `_peel_ranks` removed from it, which need no arithmetic,
+    plus the certified rank of the core that is left (`_block_rank`).
+    rank S is their sum.
     """
 
     weights: tuple
@@ -283,82 +285,48 @@ def _eta_index(support, size):
     return by_row, by_col
 
 
-def _form_rows(elements, index, position, diagonal):
-    """The rows {k: S_jk} of the skew form, one per basis id j (the lists
-    of `basis_layout`, `index` from `_eta_index`).
+def _form_rows(elements, index, position, diagonal, ids):
+    """The rows {k: S_jk} of the skew form for the basis ids j in `ids`, in
+    that order (the lists of `basis_layout`, `index` from `_eta_index`).
+    Each j names a unit E_cd, c != d: no row of a Cartan element H_x is
+    built, though the rows built here reach the columns H_x.
 
     S_jk = trace([eta, b_j] b_k).  [eta, E_cd] has +1 at (a, d) for each
     entry (a, c) of eta and -1 at (c, e) for each entry (d, e).  An
     off-diagonal entry (x, y) of the commutator pairs with E_yx, and a
     diagonal one (x, x) with H_x and, negated, with H_{x-1}.  The two terms
     reach E_da and E_ec, which coincide only if a = c, and no root has
-    a = c; so in a row E_cd each entry at some E_xy is assigned once, and
-    only the entries at H_x sum.  b_j = H_c is E_cc - E_{c+1,c+1}; eta has
-    no diagonal entry, so neither term of H_c lands on the diagonal, and
-    all entries of a row H_c sum.  Id -1 names no basis element and is
-    skipped.  A row costs O(1), and no two of its terms cancel, so every
-    stored entry is non-zero; `graded_skew_form` checks that.
+    a = c; so each entry at some E_xy is assigned once, and only the
+    entries at H_x sum.  Id -1 names no basis element and is skipped.  A
+    row costs O(1), and no two of its terms cancel, so every stored entry
+    is non-zero; `graded_skew_form` checks that.
     """
     by_row, by_col = index
     w = len(diagonal)
     rows = []
-    for c, d in elements:
+    for j in ids:
+        c, d = elements[j]
         row = {}
-        if c != d:
-            for a in by_col[c]:
-                if a != d:
-                    k = position[d * w + a]
-                    if k >= 0:
-                        row[k] = 1
-                else:
-                    for k, v in ((diagonal[a], 1), (diagonal[a - 1], -1)):
-                        if k >= 0:
-                            row[k] = row.get(k, 0) + v
-            for e in by_row[d]:
-                if e != c:
-                    k = position[e * w + c]
-                    if k >= 0:
-                        row[k] = -1
-                else:
-                    for k, v in ((diagonal[c], -1), (diagonal[c - 1], 1)):
-                        if k >= 0:
-                            row[k] = row.get(k, 0) + v
-        else:
-            for x, v in ((c, 1), (c + 1, -1)):
-                for a in by_col[x]:
-                    k = position[x * w + a]
+        for a in by_col[c]:
+            if a != d:
+                k = position[d * w + a]
+                if k >= 0:
+                    row[k] = 1
+            else:
+                for k, v in ((diagonal[a], 1), (diagonal[a - 1], -1)):
                     if k >= 0:
                         row[k] = row.get(k, 0) + v
-                for e in by_row[x]:
-                    k = position[e * w + x]
+        for e in by_row[d]:
+            if e != c:
+                k = position[e * w + c]
+                if k >= 0:
+                    row[k] = -1
+            else:
+                for k, v in ((diagonal[c], -1), (diagonal[c - 1], 1)):
                     if k >= 0:
-                        row[k] = row.get(k, 0) - v
+                        row[k] = row.get(k, 0) + v
         rows.append(row)
     return rows
-
-
-def _check_entries(rows, weights, ids):
-    """The number of entries S_jk stored in the rows j in `ids`.  Raises
-    ValueError at the first of them that lies outside its block
-    V_lam x V_{1-lam}, is stored as 0, or is not minus S_kj."""
-    count = 0
-    for j in ids:
-        lam = weights[j]
-        row = rows[j]
-        count += len(row)
-        for k, v in row.items():
-            if weights[k] != 1 - lam or not v or rows[k].get(j) != -v:
-                if weights[k] != 1 - lam:
-                    raise ValueError(
-                        "skew-form entry (%d, %d) has weights %d + %d, not 1"
-                        % (j, k, lam, weights[k])
-                    )
-                if not v:
-                    raise ValueError("skew-form entry (%d, %d) is stored as 0" % (j, k))
-                raise ValueError(
-                    "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (j, k, k, j)
-                )
-    return count
 
 
 def _peel_ranks(rows, weights, lams):
@@ -366,10 +334,10 @@ def _peel_ranks(rows, weights, lams):
     alternating form with rows {k: S_jk}, by a leaf-peel and then
     `_block_rank` on the cores.
 
-    `graded_skew_form` has checked that the form is alternating, so row j
-    lists the partners of id j both as a row of block weights[j] and as a
-    column of block 1 - weights[j], and no separate column index is needed;
-    every id is a line of exactly one block lam >= 1.  A line with one live
+    `graded_skew_form` built the form alternating, so row j lists the
+    partners of id j both as a row of block weights[j] and as a column of
+    block 1 - weights[j], and no separate column index is needed; every id
+    is a line of exactly one block lam >= 1.  A line with one live
     entry, whatever its value, is a pivot: removing it with the line of its
     partner lowers the rank of their block by exactly 1 and changes no other
     entry.  Peeling repeats until no such line is left; the cores, the live
@@ -405,38 +373,48 @@ def _peel_ranks(rows, weights, lams):
 
 def graded_skew_form(ap):
     """The skew form of eta = sum of x_beta over the support of the adapted
-    pair `ap`, built in one call (`_form_rows`) over the integer ids of
-    `basis_layout` and ranked by one leaf-peel of the whole form
-    (`_peel_ranks`).
+    pair `ap`, over the integer ids of `basis_layout`, ranked by one
+    leaf-peel of the whole form (`_peel_ranks`).
 
-    The weights come from the integral h of `ap`.  Three checks cover every
-    stored entry, so none is assumed: an entry outside its block
-    V_lam x V_{1-lam} raises ValueError, and so do a stored 0 (the peel
-    counts every stored entry as a pivot candidate) and an entry S_jk that
-    is not minus S_kj.  They run on the entries of the rows of weight
-    lam >= 1, each against its partner row, and then the rows of weight
-    < 1 must hold exactly as many entries.  A checked entry (j, k) has its
-    partner (k, j) in a row of weight 1 - lam < 1, and (j, k) -> (k, j) is
-    injective; equal counts make it a bijection onto the entries of those
-    rows, so each of them is the partner of a checked entry, and each pair
-    of entries is checked once.  On unequal counts every row is scanned,
-    and the scan raises at the first entry that fails a check: one does,
-    since an entry of a row of weight < 1 is left that is no checked
-    entry's partner.  Block 1 - lam is then minus the transpose of block
-    lam, so only the blocks with lam >= 1 are ranked, and each rank is
-    copied to block 1 - lam; no block pairs with itself, since 2 lam = 1
-    has no integer solution.  Each rank is the number of pivots peeled in
-    its block plus the certified rank of its core.
+    The weights come from the integral h of `ap`.  Every root of the support
+    must have weight -1, or ValueError; then S_jk is non-zero only when
+    weights[j] + weights[k] = 1, so exactly one of j and k has weight >= 1
+    (2 lam = 1 has no integer solution).  Only the rows of weight >= 1 are
+    built (`_form_rows`), and each entry v of such a row j is written as -v
+    into row k: the form is alternating by construction, and block 1 - lam
+    is minus the transpose of block lam.  (That these mirrored rows equal
+    the rows built from their own side is tested, not checked here.)  Every
+    built entry is checked: one outside its block V_lam x V_{1-lam} raises
+    ValueError, and so does a stored 0, since the peel counts every stored
+    entry as a pivot candidate.  Only the blocks with lam >= 1 are ranked,
+    and each rank is copied to block 1 - lam.  Each rank is the number of
+    pivots peeled in its block plus the certified rank of its core.
     """
     elements, position, diagonal = basis_layout(ap.pair)
+    for r in ap.eta_support:
+        lam = h_eigenvalue(ap.h, r)
+        if lam != -1:
+            raise ValueError(
+                "eta root %r has weight %d: its skew-form entries have weights summing to %d, not 1"
+                % (r, lam, -lam)
+            )
     h = (0, *ap.h)  # 1-based
     weights = [h[x] - h[y] for x, y in elements]  # 0 on each H_x
+    high = [j for j, lam in enumerate(weights) if lam >= 1]
     index = _eta_index(ap.eta_support, len(diagonal))
-    rows = _form_rows(elements, index, position, diagonal)
-    high = [j for j, lam in enumerate(weights) if lam >= 1 and rows[j]]
-    if 2 * _check_entries(rows, weights, high) != sum(map(len, rows)):
-        _check_entries(rows, weights, range(len(rows)))
-    ranks = _peel_ranks(rows, weights, dict.fromkeys(weights[j] for j in high))
+    rows = [{} for _ in elements]
+    for j, row in zip(high, _form_rows(elements, index, position, diagonal, high)):
+        lam = weights[j]
+        for k, v in row.items():
+            if weights[k] != 1 - lam:
+                raise ValueError(
+                    "skew-form entry (%d, %d) has weights %d + %d, not 1" % (j, k, lam, weights[k])
+                )
+            if not v:
+                raise ValueError("skew-form entry (%d, %d) is stored as 0" % (j, k))
+            rows[k][j] = -v
+        rows[j] = row
+    ranks = _peel_ranks(rows, weights, dict.fromkeys(weights[j] for j in high if rows[j]))
     for lam in list(ranks):
         ranks[1 - lam] = ranks[lam]
     return GradedForm(

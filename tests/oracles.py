@@ -258,14 +258,11 @@ def dense_block_rank(rows):
     return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
 
 
-def dict_graded_form(ap):
-    """(weights, blocks, ranks) of the graded skew form of the adapted pair
-    `ap`, built with dicts throughout: one dict per basis element, a dict
-    from (i, j) to the index of E_ij and one row at a time.  Blocks are
-    keyed by row weight; every block is ranked on its own modulo 2^31 - 1,
-    and the form is alternating, so its rank is even: a sum of d - 1 (d is
-    odd) makes every modular rank exact.  Otherwise every block is ranked
-    with `dense_block_rank`."""
+def dict_form_rows(ap):
+    """(weights, rows) of the skew form of the adapted pair `ap`, built with
+    dicts throughout: one dict per basis element, a dict from (i, j) to the
+    index of E_ij, and every row {k: S_jk} from its own side, the rows of the
+    Cartan elements included.  Both lists are in the library's id order."""
     basis = dict_parabolic_basis(ap.pair)
     position, diagonal, weights = {}, {}, []
     for k, b in enumerate(basis):
@@ -280,14 +277,25 @@ def dict_graded_form(ap):
     for a, b in ap.eta_support:
         by_row.setdefault(a, []).append(b)
         by_col.setdefault(b, []).append(a)
+    rows = [_dict_form_row(b, (by_row, by_col), position, diagonal) for b in basis]
+    return tuple(weights), rows
+
+
+def dict_graded_form(ap):
+    """(weights, blocks, ranks) of the graded skew form of the adapted pair
+    `ap`, from the rows of `dict_form_rows`.  Blocks are keyed by row weight;
+    every block is ranked on its own modulo 2^31 - 1, and the form is
+    alternating, so its rank is even: a sum of d - 1 (d is odd) makes every
+    modular rank exact.  Otherwise every block is ranked with
+    `dense_block_rank`."""
+    weights, form_rows = dict_form_rows(ap)
     blocks = {}
-    for j, b in enumerate(basis):
-        row = _dict_form_row(b, (by_row, by_col), position, diagonal)
+    for j, row in enumerate(form_rows):
         if row:
             blocks.setdefault(weights[j], {})[j] = row
     ranks = {
         lam: linalg.rank_mod_prime(rows.values(), PRIME) for lam, rows in blocks.items()
     }
-    if sum(ranks.values()) != len(basis) - len(basis) % 2:
+    if sum(ranks.values()) != len(weights) - len(weights) % 2:
         ranks = {lam: dense_block_rank(rows.values()) for lam, rows in blocks.items()}
-    return tuple(weights), blocks, ranks
+    return weights, blocks, ranks

@@ -333,6 +333,23 @@ def test_walk_certificates_raise_typed_errors(capsysbinary):
     assert capsysbinary.readouterr().out == b""
 
 
+def test_turning_data_rejects_forged_walks(monkeypatch):
+    # (2,3) walks 4, 2, 1, 5, 3: beta_2 = (2, 1) is the one simple root,
+    # and 1, 5 are the only values that do not turn
+    tr = traversal(CoprimePair(2, 3))
+    with pytest.raises(MeanderError, match="found 0"):
+        turning_data(replace(tr, phi=(4, 2, 5, 1, 3)))
+    # (2,5) walks 5, 3, 7, 1, 2, 6, 4, whose simple root (1, 2) is a_{m/2}
+    # for m = 2; the forged walk keeps its turning points but meets a_2
+    tr = traversal(CoprimePair(2, 5))
+    with pytest.raises(MeanderError, match=r"must be \+- a_\{m/2\}"):
+        turning_data(replace(tr, phi=(5, 7, 1, 3, 2, 6, 4)))
+    # beta_1 = (4, 2) of (2,3) is isolated; with no a_p anywhere it is not nil
+    monkeypatch.setattr(rootlab, "alpha_p_coefficient", lambda r, p: 0)
+    with pytest.raises(MeanderError, match="an isolated value must be nil"):
+        td_for(2, 3)
+
+
 @given(st.integers(3, 25))
 def test_pair_enumeration(max_n):
     pairs = coprime_pairs(max_n)

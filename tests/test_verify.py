@@ -362,14 +362,42 @@ class RankSpy:
         monkeypatch.setattr(linalg, name, spy)
 
 
-def test_graded_form_against_dict_oracle():
-    for pair in coprime_pairs(40):
+def dict_oracle_errors(module, pairs):
+    """The pairs whose graded form by `module.graded_skew_form` is not the
+    one of `dict_graded_form`, in its weights, its blocks or its ranks, or
+    raises ValueError.  The oracle builds every row from its own side, so
+    this compares each mirrored entry with its partner's side."""
+    errors = []
+    for pair in pairs:
         ap = adapted_pair(walk(pair))
-        form = graded_skew_form(ap)
-        weights, blocks, ranks = dict_graded_form(ap)
-        assert form.weights == weights
-        assert form_blocks(form) == blocks
-        assert form.ranks == ranks
+        try:
+            form = module.graded_skew_form(ap)
+        except ValueError:
+            errors.append(pair)
+            continue
+        if (form.weights, form_blocks(form), form.ranks) != dict_graded_form(ap):
+            errors.append(pair)
+    return errors
+
+
+def test_graded_form_against_dict_oracle():
+    assert dict_oracle_errors(verify, coprime_pairs(40)) == []
+
+
+def test_form_rows_builds_only_the_rows_of_weight_1_and_up(monkeypatch):
+    built = []
+    build = verify._form_rows
+
+    def spy(elements, index, position, diagonal, ids):
+        built.append(ids)
+        return build(elements, index, position, diagonal, ids)
+
+    monkeypatch.setattr(verify, "_form_rows", spy)
+    for pair in coprime_pairs(30):
+        built.clear()
+        form = graded_skew_form(adapted_pair(walk(pair)))
+        (ids,) = built
+        assert ids == [j for j, lam in enumerate(form.weights) if lam >= 1]
 
 
 def complement_rows(form, root):
@@ -500,14 +528,39 @@ def test_peel_mutants_fail_the_whole_block_oracle(monkeypatch, mutation):
     assert any(eta_regularity(form)["stabiliser_dim"] != 1 for form in forms)
 
 
+FORM_MUTANTS = {
+    # one sign flipped in each branch of `_form_rows`, or in the mirror
+    "term_1_unit": ("row[k] = 1\n", "row[k] = -1\n"),
+    "term_1_cartan": (
+        "((diagonal[a], 1), (diagonal[a - 1], -1))",
+        "((diagonal[a], -1), (diagonal[a - 1], 1))",
+    ),
+    "term_2_unit": ("row[k] = -1\n", "row[k] = 1\n"),
+    "term_2_cartan": (
+        "((diagonal[c], -1), (diagonal[c - 1], 1))",
+        "((diagonal[c], 1), (diagonal[c - 1], -1))",
+    ),
+    "mirror": ("rows[k][j] = -v", "rows[k][j] = v"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(FORM_MUTANTS))
+def test_form_mutants_fail_the_dict_oracle(monkeypatch, mutation):
+    # the rows of weight < 1 are mirrored, not built: the oracle of
+    # test_graded_form_against_dict_oracle must see each flipped sign
+    mutant = mutant_verify(monkeypatch, *FORM_MUTANTS[mutation])
+    pairs = coprime_pairs(20)
+    assert len(dict_oracle_errors(mutant, pairs)) >= len(pairs) - 1
+
+
 def mutated_form(monkeypatch, ap, mutate):
     """graded_skew_form with `mutate(j, row)` applied to the built row of
-    each basis id j."""
+    each basis id j of weight >= 1, before it is mirrored."""
     build = verify._form_rows
 
-    def form_rows(*args):
-        rows = build(*args)
-        for j, row in enumerate(rows):
+    def form_rows(elements, index, position, diagonal, ids):
+        rows = build(elements, index, position, diagonal, ids)
+        for j, row in zip(ids, rows):
             mutate(j, row)
         return rows
 
@@ -598,6 +651,28 @@ def test_graded_form_rejects_a_stored_zero(monkeypatch):
     }
 
 
+def test_graded_form_rejects_a_built_entry_off_its_block(monkeypatch):
+    pair = CoprimePair(2, 3)
+    ap = adapted_pair(walk(pair))
+    form = graded_skew_form(ap)
+    # a row of weight >= 1 and a column that is not of weight 1 - lam
+    j0 = next(j for j, lam in enumerate(form.weights) if lam >= 1)
+    k0 = next(k for k, lam in enumerate(form.weights) if lam != 1 - form.weights[j0])
+
+    def tamper(j, row):
+        if j == j0:
+            row[k0] = 1
+
+    with pytest.raises(ValueError) as info:
+        mutated_form(monkeypatch, ap, tamper)
+    assert str(info.value) == "skew-form entry (%d, %d) has weights %d + %d, not 1" % (
+        j0,
+        k0,
+        form.weights[j0],
+        form.weights[k0],
+    )
+
+
 def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
     pair = CoprimePair(3, 4)
     ap = adapted_pair(walk(pair))
@@ -621,57 +696,6 @@ def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
     # the lost row or column lowers the bound with the rank: no Bareiss
     assert spy.calls == 0
     assert eta_regularity(mutated)["stabiliser_dim"] == 3
-
-
-def test_graded_form_rejects_entries_that_do_not_alternate(monkeypatch):
-    pair = CoprimePair(2, 3)
-    ap = adapted_pair(walk(pair))
-    form = graded_skew_form(ap)
-    blocks = form_blocks(form)
-    j0, row0 = next(iter(blocks[max(blocks)].items()))
-    k0 = next(iter(row0))
-
-    def tamper(j, row):  # S_jk + 1 stays in its block, but S_kj = -S_jk breaks
-        if j == j0:
-            row[k0] += 1
-
-    with pytest.raises(ValueError, match="do not alternate") as info:
-        mutated_form(monkeypatch, ap, tamper)
-    # the first entry checked may be either of the two
-    assert str(info.value) in {
-        "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (a, b, b, a)
-        for a, b in ((j0, k0), (k0, j0))
-    }
-
-
-def test_graded_form_rejects_an_entry_stored_below_weight_1_alone(monkeypatch):
-    pair = CoprimePair(2, 3)
-    ap = adapted_pair(walk(pair))
-    form = graded_skew_form(ap)
-    # an entry of a row of weight < 1, in its block, whose partner row of
-    # weight >= 1 does not store it
-    j0, k0 = next(
-        (j, k)
-        for j, row in enumerate(form.rows)
-        if form.weights[j] < 1
-        for k, lam in enumerate(form.weights)
-        if lam == 1 - form.weights[j] and k not in row
-    )
-
-    def tamper(j, row):
-        if j == j0:
-            row[k0] = 1
-
-    # the checks of the rows of weight >= 1 all pass; the entry count does
-    # not, and the scan of every row names the entry from the side of j0
-    with pytest.raises(ValueError) as info:
-        mutated_form(monkeypatch, ap, tamper)
-    assert str(info.value) == "skew-form entries (%d, %d) and (%d, %d) do not alternate" % (
-        j0,
-        k0,
-        k0,
-        j0,
-    )
 
 
 def test_graded_form_rejects_entries_off_their_block():
