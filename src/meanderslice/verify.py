@@ -228,9 +228,10 @@ class GradedForm:
     ad h weight of b_j.  `position[x * stride + y]` is the id of E_xy, or -1
     off the truncated parabolic.  `rows[j]` is the row {k: S_jk} of id j;
     eta has weight -1, so its columns all have weight 1 - weights[j], and
-    the rows of weight lam form the block V_lam x V_{1-lam}.  Only the rows
-    of weight >= 1 are built; the others hold their entries negated, so the
-    form is alternating by construction.  `ranks` maps each lam with a
+    the rows of weight lam form the block V_lam x V_{1-lam}.  The form is
+    built one root of eta at a time, each entry written with its mirror, so
+    it is alternating by construction and every stored entry is +1 or -1
+    (`_form_rows`).  `ranks` maps each lam with a
     non-empty block to the exact rank of that block: the pivots that the
     leaf-peel of `_peel_ranks` removed from it, which need no arithmetic,
     plus the certified rank of the core that is left (`_block_rank`).
@@ -272,60 +273,39 @@ def _block_rank(rows):
     return rank
 
 
-def _eta_index(support, size):
-    """eta = sum of x_beta over `support`, indexed both ways as lists of
-    `size`: by_row[a] holds the columns b of the entries (a, b), and
-    by_col[b] the rows a.  On the two paths of the support each list has
-    at most two entries."""
-    by_row = [[] for _ in range(size)]
-    by_col = [[] for _ in range(size)]
-    for a, b in support:
-        by_row[a].append(b)
-        by_col[b].append(a)
-    return by_row, by_col
+def _form_rows(support, position, diagonal, size):
+    """The rows {k: S_jk} of the skew form of eta = sum of x_beta over
+    `support`, for the `size` basis ids of `basis_layout` (`position` and
+    `diagonal` are its lists), built one root of eta at a time.
 
-
-def _form_rows(elements, index, position, diagonal, ids):
-    """The rows {k: S_jk} of the skew form for the basis ids j in `ids`, in
-    that order (the lists of `basis_layout`, `index` from `_eta_index`).
-    Each j names a unit E_cd, c != d: no row of a Cartan element H_x is
-    built, though the rows built here reach the columns H_x.
-
-    S_jk = trace([eta, b_j] b_k).  [eta, E_cd] has +1 at (a, d) for each
-    entry (a, c) of eta and -1 at (c, e) for each entry (d, e).  An
-    off-diagonal entry (x, y) of the commutator pairs with E_yx, and a
-    diagonal one (x, x) with H_x and, negated, with H_{x-1}.  The two terms
-    reach E_da and E_ec, which coincide only if a = c, and no root has
-    a = c; so each entry at some E_xy is assigned once, and only the
-    entries at H_x sum.  Id -1 names no basis element and is skipped.  A
-    row costs O(1), and no two of its terms cancel, so every stored entry
-    is non-zero; `graded_skew_form` checks that.
+    S_jk = trace(eta [b_j, b_k]), and trace(eta [E_cd, E_ef]) is
+    eta_fc when d = e, minus eta_de when f = c.  So a root (a, b) gives
+    S(E_bx, E_xa) = 1 for every x other than a and b, and, through
+    [H_x, E_ba], S(H_x, E_ba) = +1 at H_{a-1} and H_b and -1 at H_a and
+    H_{b-1}.  Each entry is written with its mirror -S into the partner
+    row, so the form is alternating by construction; id -1 names no basis
+    element and is skipped.  No entry is written twice.  A unit pair of
+    root (a, b) is a unit pair of (a', b') only for the same root, since
+    (E_bx, E_xa) = (E_x'a', E_b'x') would need x' = b and x' = a.  The four
+    H_x of one root are distinct unless it is +- simple, and
+    `turning_data` certifies that alpha, which the support leaves out, is
+    the only +- simple chain value.  So every stored entry is +1 or -1.
     """
-    by_row, by_col = index
     w = len(diagonal)
-    rows = []
-    for j in ids:
-        c, d = elements[j]
-        row = {}
-        for a in by_col[c]:
-            if a != d:
-                k = position[d * w + a]
-                if k >= 0:
-                    row[k] = 1
-            else:
-                for k, v in ((diagonal[a], 1), (diagonal[a - 1], -1)):
-                    if k >= 0:
-                        row[k] = row.get(k, 0) + v
-        for e in by_row[d]:
-            if e != c:
-                k = position[e * w + c]
-                if k >= 0:
-                    row[k] = -1
-            else:
-                for k, v in ((diagonal[c], -1), (diagonal[c - 1], 1)):
-                    if k >= 0:
-                        row[k] = row.get(k, 0) + v
-        rows.append(row)
+    rows = [{} for _ in range(size)]
+    for a, b in support:
+        for x in range(1, w):
+            j, k = position[b * w + x], position[x * w + a]
+            if j >= 0 and k >= 0:
+                rows[j][k] = 1
+                rows[k][j] = -1
+        k = position[b * w + a]
+        if k >= 0:
+            for x, v in ((a - 1, 1), (a, -1), (b - 1, -1), (b, 1)):
+                i = diagonal[x]
+                if i >= 0:
+                    rows[i][k] = v
+                    rows[k][i] = -v
     return rows
 
 
@@ -377,18 +357,15 @@ def graded_skew_form(ap):
     leaf-peel of the whole form (`_peel_ranks`).
 
     The weights come from the integral h of `ap`.  Every root of the support
-    must have weight -1, or ValueError; then S_jk is non-zero only when
-    weights[j] + weights[k] = 1, so exactly one of j and k has weight >= 1
-    (2 lam = 1 has no integer solution).  Only the rows of weight >= 1 are
-    built (`_form_rows`), and each entry v of such a row j is written as -v
-    into row k: the form is alternating by construction, and block 1 - lam
-    is minus the transpose of block lam.  (That these mirrored rows equal
-    the rows built from their own side is tested, not checked here.)  Every
-    built entry is checked: one outside its block V_lam x V_{1-lam} raises
-    ValueError, and so does a stored 0, since the peel counts every stored
-    entry as a pivot candidate.  Only the blocks with lam >= 1 are ranked,
-    and each rank is copied to block 1 - lam.  Each rank is the number of
-    pivots peeled in its block plus the certified rank of its core.
+    must have weight -1, or ValueError.  The form is built one root at a
+    time (`_form_rows`), and each entry of root (a, b) joins two ids whose
+    weights sum to h_b - h_a = 1: E_bx and E_xa, or H_x (weight 0) and
+    E_ba.  So every entry lies in its block V_lam x V_{1-lam}, exactly one
+    of its ids has weight >= 1 (2 lam = 1 has no integer solution), and
+    block 1 - lam is minus the transpose of block lam.  Only the blocks
+    with lam >= 1 are ranked, and each rank is copied to block 1 - lam.
+    Each rank is the number of pivots peeled in its block plus the
+    certified rank of its core.
     """
     elements, position, diagonal = basis_layout(ap.pair)
     for r in ap.eta_support:
@@ -400,21 +377,9 @@ def graded_skew_form(ap):
             )
     h = (0, *ap.h)  # 1-based
     weights = [h[x] - h[y] for x, y in elements]  # 0 on each H_x
-    high = [j for j, lam in enumerate(weights) if lam >= 1]
-    index = _eta_index(ap.eta_support, len(diagonal))
-    rows = [{} for _ in elements]
-    for j, row in zip(high, _form_rows(elements, index, position, diagonal, high)):
-        lam = weights[j]
-        for k, v in row.items():
-            if weights[k] != 1 - lam:
-                raise ValueError(
-                    "skew-form entry (%d, %d) has weights %d + %d, not 1" % (j, k, lam, weights[k])
-                )
-            if not v:
-                raise ValueError("skew-form entry (%d, %d) is stored as 0" % (j, k))
-            rows[k][j] = -v
-        rows[j] = row
-    ranks = _peel_ranks(rows, weights, dict.fromkeys(weights[j] for j in high if rows[j]))
+    rows = _form_rows(ap.eta_support, position, diagonal, len(elements))
+    lams = dict.fromkeys(lam for lam, row in zip(weights, rows) if lam >= 1 and row)
+    ranks = _peel_ranks(rows, weights, lams)
     for lam in list(ranks):
         ranks[1 - lam] = ranks[lam]
     return GradedForm(

@@ -364,17 +364,14 @@ class RankSpy:
 
 def dict_oracle_errors(module, pairs):
     """The pairs whose graded form by `module.graded_skew_form` is not the
-    one of `dict_graded_form`, in its weights, its blocks or its ranks, or
-    raises ValueError.  The oracle builds every row from its own side, so
-    this compares each mirrored entry with its partner's side."""
+    one of `dict_graded_form`, in its weights, its blocks or its ranks.  The
+    oracle builds every row from its own side, per basis element, so this
+    compares each entry written root by root, and its mirror, with the entry
+    derived another way."""
     errors = []
     for pair in pairs:
         ap = adapted_pair(walk(pair))
-        try:
-            form = module.graded_skew_form(ap)
-        except ValueError:
-            errors.append(pair)
-            continue
+        form = module.graded_skew_form(ap)
         if (form.weights, form_blocks(form), form.ranks) != dict_graded_form(ap):
             errors.append(pair)
     return errors
@@ -384,20 +381,14 @@ def test_graded_form_against_dict_oracle():
     assert dict_oracle_errors(verify, coprime_pairs(40)) == []
 
 
-def test_form_rows_builds_only_the_rows_of_weight_1_and_up(monkeypatch):
-    built = []
-    build = verify._form_rows
-
-    def spy(elements, index, position, diagonal, ids):
-        built.append(ids)
-        return build(elements, index, position, diagonal, ids)
-
-    monkeypatch.setattr(verify, "_form_rows", spy)
-    for pair in coprime_pairs(30):
-        built.clear()
+def test_form_entries_are_units_across_weights_summing_to_1():
+    # what `_form_rows` proves for every pair, checked for n <= 60: each
+    # stored entry is +-1 and joins two ids whose weights sum to 1
+    for pair in coprime_pairs(60):
         form = graded_skew_form(adapted_pair(walk(pair)))
-        (ids,) = built
-        assert ids == [j for j, lam in enumerate(form.weights) if lam >= 1]
+        for j, row in enumerate(form.rows):
+            for k, v in row.items():
+                assert v in (1, -1) and form.weights[j] + form.weights[k] == 1
 
 
 def complement_rows(form, root):
@@ -529,25 +520,22 @@ def test_peel_mutants_fail_the_whole_block_oracle(monkeypatch, mutation):
 
 
 FORM_MUTANTS = {
-    # one sign flipped in each branch of `_form_rows`, or in the mirror
-    "term_1_unit": ("row[k] = 1\n", "row[k] = -1\n"),
-    "term_1_cartan": (
-        "((diagonal[a], 1), (diagonal[a - 1], -1))",
-        "((diagonal[a], -1), (diagonal[a - 1], 1))",
-    ),
-    "term_2_unit": ("row[k] = -1\n", "row[k] = 1\n"),
-    "term_2_cartan": (
-        "((diagonal[c], -1), (diagonal[c - 1], 1))",
-        "((diagonal[c], 1), (diagonal[c - 1], -1))",
-    ),
-    "mirror": ("rows[k][j] = -v", "rows[k][j] = v"),
+    # one sign flipped at each write of `_form_rows`: term 1 and term 2 are
+    # the terms eta_fc and -eta_de of trace(eta [E_cd, E_ef]) in its
+    # docstring, and the unit mirror S(E_xa, E_bx) is term 2 of its pair
+    "term_1_unit": ("rows[j][k] = 1\n", "rows[j][k] = -1\n"),
+    "term_2_unit": ("rows[k][j] = -1\n", "rows[k][j] = 1\n"),
+    "term_1_cartan": ("(b - 1, -1), (b, 1)", "(b - 1, 1), (b, -1)"),
+    "term_2_cartan": ("(a - 1, 1), (a, -1)", "(a - 1, -1), (a, 1)"),
+    # the mirror write of the Cartan entries
+    "mirror": ("rows[k][i] = -v", "rows[k][i] = v"),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(FORM_MUTANTS))
 def test_form_mutants_fail_the_dict_oracle(monkeypatch, mutation):
-    # the rows of weight < 1 are mirrored, not built: the oracle of
-    # test_graded_form_against_dict_oracle must see each flipped sign
+    # the oracle of test_graded_form_against_dict_oracle builds each row
+    # from its own side: it must see each flipped sign
     mutant = mutant_verify(monkeypatch, *FORM_MUTANTS[mutation])
     pairs = coprime_pairs(20)
     assert len(dict_oracle_errors(mutant, pairs)) >= len(pairs) - 1
@@ -555,12 +543,12 @@ def test_form_mutants_fail_the_dict_oracle(monkeypatch, mutation):
 
 def mutated_form(monkeypatch, ap, mutate):
     """graded_skew_form with `mutate(j, row)` applied to the built row of
-    each basis id j of weight >= 1, before it is mirrored."""
+    every basis id j, before the form is ranked."""
     build = verify._form_rows
 
-    def form_rows(elements, index, position, diagonal, ids):
-        rows = build(elements, index, position, diagonal, ids)
-        for j, row in zip(ids, rows):
+    def form_rows(*args):
+        rows = build(*args)
+        for j, row in enumerate(rows):
             mutate(j, row)
         return rows
 
@@ -568,15 +556,15 @@ def mutated_form(monkeypatch, ap, mutate):
     return graded_skew_form(ap)
 
 
-def scaled_entry(j0, k0, factor=2):
-    """A `mutated_form` mutation: S_j0k0 and S_k0j0 times `factor`.  On an
-    entry alone in its row and in its column, an even factor scales a row,
-    so the rank over Q is unchanged, while the rank over GF(2) drops by 1."""
+def scaled_entry(j0, k0):
+    """A `mutated_form` mutation: S_j0k0 and S_k0j0 times 2.  On an entry
+    alone in its row and in its column, this scales a row, so the rank
+    over Q is unchanged, while the rank over GF(2) drops by 1."""
 
     def scale_entry(j, row):
         for a, b in ((j0, k0), (k0, j0)):
             if j == a:
-                row[b] *= factor
+                row[b] *= 2
 
     return scale_entry
 
@@ -637,40 +625,6 @@ def test_scaled_leaf_needs_no_arithmetic(monkeypatch):
     # the peel counts the leaf whatever its value: no Bareiss rank
     assert spy.calls == 0
     assert eta_regularity(mutated)["stabiliser_dim"] == 1
-
-
-def test_graded_form_rejects_a_stored_zero(monkeypatch):
-    pair = CoprimePair(3, 4)
-    ap = adapted_pair(walk(pair))
-    (j0, k0) = leaf_entry(graded_skew_form(ap))
-    # S_j0k0 = S_k0j0 = 0 still alternates, but the peel would count it
-    with pytest.raises(ValueError, match="stored as 0") as info:
-        mutated_form(monkeypatch, ap, scaled_entry(j0, k0, 0))
-    assert str(info.value) in {
-        "skew-form entry (%d, %d) is stored as 0" % (a, b) for a, b in ((j0, k0), (k0, j0))
-    }
-
-
-def test_graded_form_rejects_a_built_entry_off_its_block(monkeypatch):
-    pair = CoprimePair(2, 3)
-    ap = adapted_pair(walk(pair))
-    form = graded_skew_form(ap)
-    # a row of weight >= 1 and a column that is not of weight 1 - lam
-    j0 = next(j for j, lam in enumerate(form.weights) if lam >= 1)
-    k0 = next(k for k, lam in enumerate(form.weights) if lam != 1 - form.weights[j0])
-
-    def tamper(j, row):
-        if j == j0:
-            row[k0] = 1
-
-    with pytest.raises(ValueError) as info:
-        mutated_form(monkeypatch, ap, tamper)
-    assert str(info.value) == "skew-form entry (%d, %d) has weights %d + %d, not 1" % (
-        j0,
-        k0,
-        form.weights[j0],
-        form.weights[k0],
-    )
 
 
 def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
