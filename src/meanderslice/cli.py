@@ -266,30 +266,12 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    jobs = args.jobs
-    env_jobs = os.environ.get("SLICE_JOBS")
-    if env_jobs:
-        try:
-            jobs = int(env_jobs)
-        except ValueError:
-            raise MeanderError("invalid SLICE_JOBS=%r" % env_jobs) from None
-    if jobs < 1:
-        raise MeanderError("jobs must be at least 1, got %d" % jobs)
     single = args.max_n is None and args.q is not None
     sweep = args.p is None and args.max_n is not None and args.max_n >= 3
     if not (single or sweep):
         raise MeanderError("verify needs p q, or --max-n N with N >= 3")
     if args.max_n is not None:
-        pairs = coprime_pairs(args.max_n)
-        jobs = min(jobs, os.cpu_count() or 1, len(pairs))
-        if jobs > 1:
-            # imported here: loading the pool module slows the start of every run without one
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_verify_payload, pairs))
-        else:
-            rows = [_verify_payload(pair) for pair in pairs]
+        rows = [_verify_payload(pair) for pair in coprime_pairs(args.max_n)]
         ok = all(r["all_ok"] for r in rows)
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -422,7 +404,6 @@ def build_parser():
     sp.add_argument("--max-n", type=int, dest="max_n")
     sp.add_argument("--format", choices=tables, default="text")
     sp.add_argument("--out")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("sigmap", help="signature atlas over all coprime pairs")

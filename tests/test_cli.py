@@ -40,18 +40,13 @@ def test_exit_code_input_errors():
     assert run_cli("nonsense", "1", "2").returncode == 2
 
 
-def test_exit_code_bad_ranges_and_jobs():
-    import os
-
+def test_exit_code_bad_ranges_and_options():
     assert run_cli("verify", "--max-n", "2").returncode == 2  # no pair at all
     assert run_cli("verify", "--max-n", "-4").returncode == 2
     assert run_cli("verify", "2", "3", "--max-n", "5").returncode == 2
     assert run_cli("verify", "2", "--max-n", "5").returncode == 2  # p without q
     assert run_cli("verify", "2", "3", "--jobs", "0").returncode == 2
     assert run_cli("verify", "--max-n", "5", "--jobs", "-1").returncode == 2
-    for value in ("0", "-3"):
-        env = dict(os.environ, SLICE_JOBS=value)
-        assert run_cli("verify", "2", "3", env=env).returncode == 2
 
 
 def test_exit_code_success():
@@ -116,7 +111,6 @@ def test_verify_rule_error_names_the_pair(monkeypatch, capsys):
         return build(td, sig)
 
     monkeypatch.setattr(slicebuild, "build_pi_star", rule_error)
-    monkeypatch.delenv("SLICE_JOBS", raising=False)
     assert cli.main(["verify", "--max-n", "8", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -136,7 +130,6 @@ def test_verify_adapted_pair_error_names_the_pair(argv, message, monkeypatch, ca
     from meanderslice import cli, rootlab
 
     monkeypatch.setattr(rootlab, "levi_cascade", lambda p, q: frozenset())
-    monkeypatch.delenv("SLICE_JOBS", raising=False)
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -230,10 +223,9 @@ def test_sigmap_csv_has_fiber_section():
         (["diagram", "3", "8", "--format", "svg"], "f5397d512aea2b9a7b19e1eb765062b9"),
     ],
 )
-def test_text_and_csv_bytes_pinned(argv, digest, monkeypatch, capsysbinary):
+def test_text_and_csv_bytes_pinned(argv, digest, capsysbinary):
     from meanderslice import cli
 
-    monkeypatch.delenv("SLICE_JOBS", raising=False)
     assert cli.main(argv) == 0
     assert hashlib.md5(capsysbinary.readouterr().out).hexdigest() == digest
 
@@ -269,7 +261,7 @@ def test_diagram_rejects_table_formats(flag, value):
     assert run_cli("diagram", "2", "3", flag, value).returncode == 2
 
 
-# --- output file, determinism, jobs --------------------------------------
+# --- output file, determinism, options -----------------------------------
 
 def test_out_writes_file(tmp_path):
     target = tmp_path / "report.json"
@@ -301,12 +293,12 @@ def test_commands_byte_deterministic():
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
-def test_jobs_do_not_change_output():
-    import os
-
+def test_slice_jobs_env_changes_no_byte():
+    # SLICE_JOBS is not a setting: the sweep gives the same bytes with it set
     env = dict(os.environ, SLICE_JOBS="3")
     a = run_cli("verify", "--max-n", "9", "--format", "json")
     b = run_cli("verify", "--max-n", "9", "--format", "json", env=env)
+    assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
 
@@ -321,44 +313,13 @@ def test_optimised_mode_keeps_the_sweep():
     assert optimised.stdout == plain.stdout
 
 
-def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
-    import concurrent.futures
-
+def test_unknown_options_exit_2():
     from meanderslice import cli
 
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.delenv("SLICE_JOBS", raising=False)
-    argv = ["verify", "--max-n", "5", "--format", "json"]  # four pairs
-    assert cli.main(argv) == 0
-    serial = capsysbinary.readouterr().out
-    for cpus, jobs, want in ((8, 64, 4), (2, 64, 2), (8, 3, 3), (None, 64, None), (1, 4, None)):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        started.clear()
-        assert cli.main(argv + ["--jobs", str(jobs)]) == 0
-        assert capsysbinary.readouterr().out == serial
-        assert started == ([] if want is None else [want])
-    # one pair never starts a pool
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    started.clear()
-    assert cli.main(["verify", "--max-n", "3", "--jobs", "8"]) == 0
-    assert started == []
-    # only verify takes --jobs, and no command takes --diagram
+    # no command takes --jobs or --diagram
     for args in (
+        ["verify", "--max-n", "5", "--jobs", "2"],
+        ["verify", "2", "3", "--jobs", "2"],
         ["meander", "2", "3", "--jobs", "2"],
         ["construct", "2", "3", "--jobs", "2"],
         ["diagram", "2", "3", "--jobs", "2"],
@@ -371,29 +332,6 @@ def test_verify_pool_is_clamped(monkeypatch, capsysbinary):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(args)
         assert exit_info.value.code == 2
-
-
-def test_cli_import_leaves_the_pool_module_unloaded():
-    # only a verify sweep with --jobs above 1 loads the process pool
-    code = "import sys, meanderslice.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False\n"
-
-
-def test_invalid_jobs_env():
-    import os
-
-    env = dict(os.environ, SLICE_JOBS="many")
-    assert run_cli("verify", "2", "3", env=env).returncode == 2
-
-
-def test_jobs_env_overrides_the_flag():
-    import os
-
-    # SLICE_JOBS, when set, replaces --jobs before the flag is checked
-    env = dict(os.environ, SLICE_JOBS="2")
-    assert run_cli("verify", "--max-n", "5", "--jobs", "0", env=env).returncode == 0
 
 
 # --- JSON writer, parser reuse, output failures --------------------------
@@ -421,7 +359,6 @@ def test_dump_json_matches_json_dumps_on_every_payload(monkeypatch, capsysbinary
     from meanderslice import cli
     from meanderslice.meander import coprime_pairs
 
-    monkeypatch.delenv("SLICE_JOBS", raising=False)
     payloads = []
     for pair in coprime_pairs(30):
         payloads.append(cli._meander_payload(pair))
@@ -502,7 +439,6 @@ def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsysbinary):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    monkeypatch.delenv("SLICE_JOBS", raising=False)
     cli.build_parser.cache_clear()
     assert cli.main(["meander", "2", "3", "--format", "json"]) == 0
     assert built  # the first call builds the parser and its subparsers
@@ -550,7 +486,6 @@ class _FullStdout:
 def test_stdout_write_failure_is_an_input_error(argv, monkeypatch, capsys):
     from meanderslice import cli
 
-    monkeypatch.delenv("SLICE_JOBS", raising=False)
     monkeypatch.setattr(sys, "stdout", _FullStdout())
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -82,6 +83,21 @@ def test_traversal_witnesses():
     tr = traversal(CoprimePair(2, 3))
     assert (tr.a, tr.b) == (4, 3)
     assert tr.phi == (4, 2, 1, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "pair, error, message",
+    [
+        # (3, 6) is not coprime: the orbit of a is one of three cycles
+        (SimpleNamespace(p=3, q=6, n=9), NotCoprimeError, "orbit is not a single cycle"),
+        # n = 4 is not p + q: the walk closes one step early
+        (SimpleNamespace(p=2, q=3, n=4), MeanderError, "the walk ends at 3, not at 2"),
+    ],
+)
+def test_traversal_rejects_a_forged_pair(pair, error, message):
+    # CoprimePair refuses both; a forged pair reaches the walk's own checks
+    with pytest.raises(error, match=message):
+        traversal(pair)
 
 
 def test_traversal_is_bijection_everywhere():

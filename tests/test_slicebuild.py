@@ -306,6 +306,47 @@ def test_end_anchor_needs_p_equal_to_one():
         exceptional_fix(td, sc.ledger)
 
 
+@pytest.mark.parametrize("e", [1, 3])
+def test_anchor_needs_exactly_one_turning_point(e):
+    # (2,3) turns at 1, 2, 5: both of 1, 2 are turning points, neither of 3, 4
+    sc = sc_for(2, 3)
+    td = replace(sc.turning, e=e)
+    assert td.positions == (1, 2, 5)
+    with pytest.raises(ConstructionRuleError, match="without a unique turning point"):
+        exceptional_fix(td, sc.ledger)
+
+
+def test_anchor_must_be_on_the_b_side():
+    # (2,3) needs no repair: its beta_2 is anchored at the A point 2
+    sc = sc_for(2, 3)
+    assert not sc.used_exceptional_fix
+    assert sc.turning.e == 2 and sc.turning.tag_at(2) == "A"
+    with pytest.raises(ConstructionRuleError, match="not on the B side"):
+        exceptional_fix(sc.turning, sc.ledger)
+
+
+def test_anchor_needs_its_second_boundary_changed():
+    # (5,7) repairs beta_7 at the B point 8 and reverts the changed beta_8
+    sc = sc_for(5, 7)
+    assert sc.used_exceptional_fix and sc.turning.e == 7 and 8 in sc.ledger.entries
+    entries = {i: v for i, v in sc.ledger.entries.items() if i != 8}
+    message = "second boundary of the anchor was not changed"
+    with pytest.raises(ConstructionRuleError, match=message):
+        exceptional_fix(sc.turning, replace(sc.ledger, entries=entries))
+
+
+def test_two_re_anchoring_candidates_are_a_rule_error():
+    # beta_7 of (5,7) is e_6 - e_7; changed values ending at e_7 could both be re-anchored
+    sc = sc_for(5, 7)
+    assert sc.turning.betas[6] == rootlab.eps_diff(6, 7, 12)
+    assert {2, 4} <= set(sc.ledger.entries)
+    bp = list(sc.ledger.beta_prime)
+    bp[1] = rootlab.eps_diff(10, 7, 12)
+    bp[3] = rootlab.eps_diff(8, 7, 12)
+    with pytest.raises(ConstructionRuleError, match="ambiguous re-anchoring"):
+        exceptional_fix(sc.turning, replace(sc.ledger, beta_prime=tuple(bp)))
+
+
 def test_reanchoring_off_a_non_root_is_a_rule_error():
     # e_1 - e_2 minus e_3 - e_4 is not a root
     with pytest.raises(ConstructionRuleError, match="re-anchored beta_1 is not a root"):
