@@ -1,8 +1,13 @@
 """Command-line surface: `slice <command> [p q | --max-n N] ...`.
 
-Commands: meander, construct, verify, sigmap, diagram.  All output is
-byte-deterministic for a fixed configuration.  Exit codes: 0 success,
-1 verification failure, 2 input error or output that cannot be written.
+Commands: meander, construct, verify, sigmap, diagram.  One table,
+`COMMANDS`, gives each command's arguments, formats and run function, and
+`build_parser` makes every subparser from it.  A run function returns the
+command's payload, its CSV rows and a text renderer; `_render` is the one
+step that writes them as json, csv or text (diagram's ascii and svg are its
+text).  All output is byte-deterministic for a fixed configuration.  Exit
+codes: 0 success, 1 verification failure (a payload whose `all_ok` is
+false), 2 input error or output that cannot be written.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -92,9 +98,7 @@ def _write_json(value, newline, out):
 
 def _dump_csv(rows):
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        w.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -223,46 +227,40 @@ def _text_kv(payload, keys):
 
 def cmd_meander(args):
     payload = _meander_payload(CoprimePair(args.p, args.q))
-    if args.format == "json":
-        return _dump_json(payload), 0
-    if args.format == "csv":
-        return _dump_csv([CSV_COLUMNS, _csv_row(payload)]), 0
-    keys = [
+    keys = (
         "p", "q", "n", "phi", "a", "b", "turning_positions", "turning_tags",
         "eps", "nil", "isolated", "e", "m_even", "signature",
-    ]
-    return _text_kv(payload, keys), 0
+    )
+    return payload, map(_csv_row, [payload]), lambda: _text_kv(payload, keys)
 
 
 def cmd_construct(args):
-    pair = CoprimePair(args.p, args.q)
-    payload = _construct_payload(pair)
-    if args.format == "json":
-        return _dump_json(payload), 0
-    if args.format == "csv":
-        return _dump_csv([CSV_COLUMNS, _csv_row(payload)]), 0
-    sc_lines = [
-        "pair: (%d,%d)  n=%d  sg=%s" % (pair.p, pair.q, pair.n, payload["signature"]),
-        "mode: %s  fix: %s" % (payload["construction_mode"], payload["used_exceptional_fix"]),
-        "order c: %s" % (payload["order"],),
-        "conditions: %s" % (payload["conditions"],),
-        "pi_final:",
-    ]
-    for r in payload["pi_final"]:
-        sc_lines.append("  " + _root_str(tuple(r)))
-    sc_lines.append("changes:")
-    for e in payload["ledger"]["entries"]:
-        sc_lines.append(
-            "  beta_%d += %s  span=%s case=%s"
-            % (e["index"], _root_str(tuple(e["added"])), tuple(e["span"]), e["case"])
-        )
-    for f in payload["ledger"]["fix"]:
-        sc_lines.append("  fix beta_%d -> %s" % (f["index"], _root_str(tuple(f["value"]))))
-    sc_lines.append(
-        "undecided d: %s (%s)"
-        % (payload["ledger"]["undecided"]["position"], payload["ledger"]["undecided"]["disposition"])
-    )
-    return "\n".join(sc_lines) + "\n", 0
+    payload = _construct_payload(CoprimePair(args.p, args.q))
+
+    def text():
+        ledger = payload["ledger"]
+        lines = [
+            "pair: (%d,%d)  n=%d  sg=%s"
+            % (payload["p"], payload["q"], payload["n"], payload["signature"]),
+            "mode: %s  fix: %s" % (payload["construction_mode"], payload["used_exceptional_fix"]),
+            "order c: %s" % (payload["order"],),
+            "conditions: %s" % (payload["conditions"],),
+            "pi_final:",
+        ]
+        lines += ["  " + _root_str(tuple(r)) for r in payload["pi_final"]]
+        lines.append("changes:")
+        for e in ledger["entries"]:
+            lines.append(
+                "  beta_%d += %s  span=%s case=%s"
+                % (e["index"], _root_str(tuple(e["added"])), tuple(e["span"]), e["case"])
+            )
+        for f in ledger["fix"]:
+            lines.append("  fix beta_%d -> %s" % (f["index"], _root_str(tuple(f["value"]))))
+        undecided = ledger["undecided"]
+        lines.append("undecided d: %s (%s)" % (undecided["position"], undecided["disposition"]))
+        return "\n".join(lines) + "\n"
+
+    return payload, map(_csv_row, [payload]), text
 
 
 def cmd_verify(args):
@@ -270,47 +268,43 @@ def cmd_verify(args):
     sweep = args.p is None and args.max_n is not None and args.max_n >= 3
     if not (single or sweep):
         raise MeanderError("verify needs p q, or --max-n N with N >= 3")
-    if args.max_n is not None:
-        rows = [_verify_payload(pair) for pair in coprime_pairs(args.max_n)]
-        ok = all(r["all_ok"] for r in rows)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "max_n": args.max_n,
-            "rows": rows,
-            "all_ok": ok,
-        }
-        code = 0 if ok else 1
-        if args.format == "json":
-            return _dump_json(payload), code
-        if args.format == "csv":
-            return _dump_csv([CSV_COLUMNS] + [_csv_row(r) for r in rows]), code
+    if single:
+        payload = _verify_payload(CoprimePair(args.p, args.q))
+
+        def text():
+            keys = [
+                "p", "q", "n", "signature", "construction_mode", "used_exceptional_fix",
+                "m", "h", "order", "conditions", "regular_nilpotent", "restriction_ok",
+                "eta_eigenvalues_ok", "all_ok",
+            ]
+            if "eta_regular" in payload:
+                keys[-1:-1] = ["eta_regular", "stabiliser_dim", "complement_ok"]
+            return _text_kv(payload, keys)
+
+        return payload, map(_csv_row, [payload]), text
+    rows = [_verify_payload(pair) for pair in coprime_pairs(args.max_n)]
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "verify",
+        "max_n": args.max_n,
+        "rows": rows,
+        "all_ok": all(r["all_ok"] for r in rows),
+    }
+
+    def text():
         lines = ["p q n sig mode fix m ok"]
-        for r in rows:
-            lines.append(
-                "%d %d %d %s %s %s %d %s"
-                % (
-                    r["p"], r["q"], r["n"], r["signature"] or "()",
-                    r["construction_mode"], r["used_exceptional_fix"], r["m"], r["all_ok"],
-                )
+        lines += [
+            "%d %d %d %s %s %s %d %s"
+            % (
+                r["p"], r["q"], r["n"], r["signature"] or "()",
+                r["construction_mode"], r["used_exceptional_fix"], r["m"], r["all_ok"],
             )
-        lines.append("all_ok: %s" % ok)
-        return "\n".join(lines) + "\n", code
-    pair = CoprimePair(args.p, args.q)
-    payload = _verify_payload(pair)
-    code = 0 if payload["all_ok"] else 1
-    if args.format == "json":
-        return _dump_json(payload), code
-    if args.format == "csv":
-        return _dump_csv([CSV_COLUMNS, _csv_row(payload)]), code
-    keys = [
-        "p", "q", "n", "signature", "construction_mode", "used_exceptional_fix",
-        "m", "h", "order", "conditions", "regular_nilpotent", "restriction_ok",
-        "eta_eigenvalues_ok", "all_ok",
-    ]
-    if "eta_regular" in payload:
-        keys[-1:-1] = ["eta_regular", "stabiliser_dim", "complement_ok"]
-    return _text_kv(payload, keys), code
+            for r in rows
+        ]
+        lines.append("all_ok: %s" % payload["all_ok"])
+        return "\n".join(lines) + "\n"
+
+    return payload, map(_csv_row, rows), text
 
 
 def cmd_sigmap(args):
@@ -334,44 +328,69 @@ def cmd_sigmap(args):
         )
         fibers.setdefault(sig, []).append((pair.p, pair.q))
     fibers = {s: sorted(ps) for s, ps in fibers.items()}
+    image = sorted(fibers)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "sigmap",
         "max_n": args.max_n,
         "rows": rows,
-        "image": sorted(fibers),
+        "image": image,
         "fibers": fibers,
         "shared": {s: ps for s, ps in fibers.items() if len(ps) > 1},
     }
-    if args.format == "json":
-        return _dump_json(payload), 0
-    if args.format == "csv":
-        table = [CSV_COLUMNS] + [_csv_row(r) for r in rows]
-        fib = [["signature", "count", "pairs"]]
-        for s in sorted(fibers):
-            fib.append([s, len(fibers[s]), ";".join("%d:%d" % t for t in fibers[s])])
-        return _dump_csv(table) + "\n" + _dump_csv(fib), 0
-    lines = ["p q n signature"]
-    for r in rows:
-        lines.append("%d %d %d %s" % (r["p"], r["q"], r["n"], r["signature"] or "()"))
-    lines.append("")
-    lines.append("fibers:")
-    for s in sorted(fibers):
-        lines.append("  %r <- %s" % (s, fibers[s]))
-    return "\n".join(lines) + "\n", 0
+    # after the pair rows: a blank line, then the fibre table with its header
+    fibre_rows = ([s, len(fibers[s]), ";".join("%d:%d" % t for t in fibers[s])] for s in image)
+    fibre_header = [[], ["signature", "count", "pairs"]]
+    csv_rows = itertools.chain(map(_csv_row, rows), fibre_header, fibre_rows)
+
+    def text():
+        lines = ["p q n signature"]
+        lines += ["%d %d %d %s" % (r["p"], r["q"], r["n"], r["signature"] or "()") for r in rows]
+        lines += ["", "fibers:"]
+        lines += ["  %r <- %s" % (s, fibers[s]) for s in image]
+        return "\n".join(lines) + "\n"
+
+    return payload, csv_rows, text
 
 
 def cmd_diagram(args):
     sc = construct(CoprimePair(args.p, args.q))
-    if args.format == "svg":
-        return diagram_mod.svg_diagram(sc), 0
-    return diagram_mod.ascii_diagram(sc), 0
+    draw = diagram_mod.svg_diagram if args.format == "svg" else diagram_mod.ascii_diagram
+    return {}, (), lambda: draw(sc)
+
+
+def _render(fmt, payload, csv_rows, text):
+    """The one place that picks an output format.  `payload` is written as
+    JSON, `csv_rows` under the `CSV_COLUMNS` header, and any other format
+    (text, or diagram's ascii and svg) is the text that `text()` makes."""
+    if fmt == "json":
+        return _dump_json(payload)
+    if fmt == "csv":
+        return _dump_csv(itertools.chain([CSV_COLUMNS], csv_rows))
+    return text()
+
+
+# --format choices and default of the table commands, and of diagram
+REPORT = ("json", "csv", "text"), "text"
+DRAWING = ("ascii", "svg"), "ascii"
+
+# One row per command: name, help, positional shape ("p q", optional
+# "[p q]", or "" for none), whether it takes --max-n, formats, and the
+# function that returns the command's payload, CSV rows and text renderer.
+# The rows and the text are built only when `_render` writes them.
+COMMANDS = (
+    ("meander", "orbit, turning points, signature", "p q", False, REPORT, cmd_meander),
+    ("construct", "modified simple root systems with ledger", "p q", False, REPORT, cmd_construct),
+    ("verify", "full certification, single pair or sweep", "[p q]", True, REPORT, cmd_verify),
+    ("sigmap", "signature atlas over all coprime pairs", "", True, REPORT, cmd_sigmap),
+    ("diagram", "ascii/svg rendering of the meander", "p q", False, DRAWING, cmd_diagram),
+)
 
 
 @functools.cache
 def build_parser():
-    """The `slice` argument parser, built on the first call and shared by
-    every later call in the process.
+    """The `slice` argument parser, built from `COMMANDS` on the first call
+    and shared by every later call in the process.
 
     Building it costs far more than one `parse_args`, which makes a fresh
     Namespace on each call.  Nothing may change the parser once it is
@@ -382,56 +401,31 @@ def build_parser():
         description="Meander combinatorics and exactly certified adapted pairs for sl(p+q).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tables = ("json", "csv", "text")
-
-    sp = sub.add_parser("meander", help="orbit, turning points, signature")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--format", choices=tables, default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(run=cmd_meander)
-
-    sp = sub.add_parser("construct", help="modified simple root systems with ledger")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--format", choices=tables, default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(run=cmd_construct)
-
-    sp = sub.add_parser("verify", help="full certification, single pair or sweep")
-    sp.add_argument("p", type=int, nargs="?")
-    sp.add_argument("q", type=int, nargs="?")
-    sp.add_argument("--max-n", type=int, dest="max_n")
-    sp.add_argument("--format", choices=tables, default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(run=cmd_verify)
-
-    sp = sub.add_parser("sigmap", help="signature atlas over all coprime pairs")
-    sp.add_argument("--max-n", type=int, dest="max_n")
-    sp.add_argument("--format", choices=tables, default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(run=cmd_sigmap)
-
-    sp = sub.add_parser("diagram", help="ascii/svg rendering of the meander")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    sp.add_argument("--out")
-    sp.set_defaults(run=cmd_diagram)
+    for name, help_text, pair, max_n, (choices, default), run in COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        if pair:
+            nargs = "?" if pair == "[p q]" else None
+            sp.add_argument("p", type=int, nargs=nargs)
+            sp.add_argument("q", type=int, nargs=nargs)
+        if max_n:
+            sp.add_argument("--max-n", type=int, dest="max_n")
+        sp.add_argument("--format", choices=choices, default=default)
+        sp.add_argument("--out")
+        sp.set_defaults(run=run)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        text, code = args.run(args)
+        payload, csv_rows, text = args.run(args)
+        data = _render(args.format, payload, csv_rows, text).encode("utf-8")
     except MeanderError as ex:
         print("slice: input error: %s" % ex, file=sys.stderr)
         return 2
     except (ConstructionFailed, AdaptedPairError) as ex:
         print("slice: verification failure: %s" % ex, file=sys.stderr)
         return 1
-    data = text.encode("utf-8")
     try:
         if args.out:
             with open(args.out, "wb") as fh:
@@ -450,7 +444,7 @@ def main(argv=None):
                 os.close(devnull)
         print("slice: input error: %s" % ex, file=sys.stderr)
         return 2
-    return code
+    return 0 if payload.get("all_ok", True) else 1
 
 
 if __name__ == "__main__":

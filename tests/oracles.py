@@ -258,6 +258,52 @@ def dense_block_rank(rows):
     return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
 
 
+def component_census(rows):
+    """One (size, edges, rank, core) tuple per connected component of the
+    alternating form with rows {k: S_jk}, in order of least id.  Its graph
+    has one vertex per id and one edge per stored pair {j, k}, so an id with
+    an empty row is a component of its own, and a component is acyclic
+    exactly when edges == size - 1.
+
+    rank is the rank of the component's rows modulo PRIME.  It is a lower
+    bound on the rational rank, and the form alternates, so its rank is
+    even and at most d - 1 when d is odd: when the ranks sum to d - 1,
+    every one of them is exact.  core counts the component's ids that a
+    leaf-peel of the whole form leaves with a live entry; the peel removes
+    a line with one live entry together with its partner line, in the
+    order of `verify._peel_ranks`, until no such line is left.
+    """
+    d = len(rows)
+    live = list(map(len, rows))
+    leaves = [j for j in range(d) if live[j] == 1]
+    for j in leaves:  # grows while it is walked
+        if live[j] == 1:
+            (k,) = [k for k in rows[j] if live[k]]
+            live[j] = live[k] = 0
+            for i in rows[k]:
+                if live[i]:
+                    live[i] -= 1
+                    if live[i] == 1:
+                        leaves.append(i)
+    seen = [False] * d
+    census = []
+    for root in range(d):
+        if seen[root]:
+            continue
+        seen[root] = True
+        ids = [root]
+        for j in ids:  # breadth first: grows while it is walked
+            for k in rows[j]:
+                if not seen[k]:
+                    seen[k] = True
+                    ids.append(k)
+        component = [rows[j] for j in ids]
+        edges = sum(map(len, component)) // 2
+        rank = linalg.rank_mod_prime(component, PRIME)
+        census.append((len(ids), edges, rank, sum(1 for j in ids if live[j])))
+    return census
+
+
 def dict_form_rows(ap):
     """(weights, rows) of the skew form of the adapted pair `ap`, built with
     dicts throughout: one dict per basis element, a dict from (i, j) to the

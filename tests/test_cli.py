@@ -316,8 +316,17 @@ def test_optimised_mode_keeps_the_sweep():
 def test_unknown_options_exit_2():
     from meanderslice import cli
 
-    # no command takes --jobs or --diagram
+    # no command takes --jobs or --diagram; only verify and sigmap take
+    # --max-n, sigmap takes no pair, and only diagram writes svg
     for args in (
+        ["meander", "2", "3", "--max-n", "5"],
+        ["construct", "2", "3", "--max-n", "5"],
+        ["diagram", "2", "3", "--max-n", "5"],
+        ["sigmap", "2", "3", "--max-n", "5"],
+        ["meander", "2", "3", "--format", "svg"],
+        ["construct", "2", "3", "--format", "svg"],
+        ["verify", "2", "3", "--format", "svg"],
+        ["sigmap", "--max-n", "5", "--format", "svg"],
         ["verify", "--max-n", "5", "--jobs", "2"],
         ["verify", "2", "3", "--jobs", "2"],
         ["meander", "2", "3", "--jobs", "2"],
@@ -332,6 +341,12 @@ def test_unknown_options_exit_2():
         with pytest.raises(SystemExit) as exit_info:
             cli.main(args)
         assert exit_info.value.code == 2
+    parse = cli.build_parser().parse_args
+    assert parse(["meander", "2", "3"]).format == "text"
+    assert parse(["construct", "2", "3"]).format == "text"
+    assert parse(["verify", "2", "3"]).format == "text"
+    assert parse(["sigmap", "--max-n", "5"]).format == "text"
+    assert parse(["diagram", "2", "3"]).format == "ascii"
 
 
 # --- JSON writer, parser reuse, output failures --------------------------

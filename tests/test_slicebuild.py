@@ -297,6 +297,28 @@ def test_rule_engine_rejects_a_minus_start_with_a_plus_end(monkeypatch):
         construct(CoprimePair(2, 3))
 
 
+@pytest.mark.parametrize(
+    "p, q, full, message",
+    [
+        # the real full signature of (2,3) is (-1,): a + at its one A point
+        # asks for the nil value below it to change
+        (2, 3, (1,), r"\(2,3\): tried to change the nil value beta_1$"),
+        # the real one of (5,6) is (+1, -1, -1): a + after the - run sends
+        # the compound partner of the first + point onto an isolated value
+        (5, 6, (1, -1, 1), r"\(5,6\): isolated value met a compound change at position 7$"),
+    ],
+)
+def test_rule_engine_rejects_a_forged_signature(p, q, full, message, monkeypatch):
+    def forged(td):
+        changes = (1,) + tuple(j + 1 for j in range(1, len(full)) if full[j] != full[j - 1])
+        return replace(signature(td), sg=full[: td.pair.p // 2], full=full, changes=changes)
+
+    assert signature(turning_data(traversal(CoprimePair(p, q)))).full != full
+    monkeypatch.setattr(slicebuild, "signature", forged)
+    with pytest.raises(ConstructionRuleError, match=message):
+        construct(CoprimePair(p, q))
+
+
 def test_end_anchor_needs_p_equal_to_one():
     # (2,3) has turning positions 1, 2, 5; beta_4 is anchored at the end point 5
     sc = sc_for(2, 3)

@@ -34,6 +34,7 @@ from meanderslice.verify import (
 )
 from oracles import (
     PRIME,
+    component_census,
     dense,
     dense_block_rank,
     dict_graded_form,
@@ -470,6 +471,29 @@ def test_peel_ranks_against_whole_block_ranks(monkeypatch):
         # the peel leaves one square core of n - 2 rows, and none when p = 1
         shapes = [(len(core), len({k for row in core for k in row})) for core in cores]
         assert shapes == ([] if pair.p == 1 else [(pair.n - 2, pair.n - 2)])
+
+
+def test_component_census():
+    for pair in coprime_pairs(30):
+        form = graded_skew_form(adapted_pair(walk(pair)))
+        census = component_census(form.rows)
+        assert sum(rank for _, _, rank, _ in census) == form.dim - 1  # so every rank is exact
+        cyclic = [c for c in census if c[1] >= c[0]]
+        acyclic = [c for c in census if c[1] < c[0]]
+        # one component has a cycle, except at (1,2) and (1,3), and it is
+        # non-singular; for p >= 2 it holds the whole core of the peel
+        if (pair.p, pair.q) in ((1, 2), (1, 3)):
+            assert cyclic == []
+        else:
+            ((size, _, rank, core),) = cyclic
+            assert rank == size
+            assert core == sum(c[3] for c in census) == (2 * (pair.n - 2) if pair.p >= 2 else 0)
+        # one component is singular, with kernel dimension 1, and it is
+        # acyclic: a tree, or a single isolated basis element
+        ((size, edges, rank, _),) = [c for c in census if c[2] < c[0]]
+        assert size - rank == 1 and edges == size - 1
+        # the leaf-peel removes every acyclic component completely
+        assert all(core == 0 for _, _, _, core in acyclic)
 
 
 def test_gf2_ranks_need_no_bareiss(monkeypatch):
