@@ -70,8 +70,9 @@ def build_pi_star(td, sig):
 
     Raises ConstructionRuleError whenever an internal consistency rule is
     violated (a nil value selected, a turning point served twice, a
-    changed value not elementary with p-th coefficient -1, a signature
-    that starts with - and ends with +, ...).
+    changed value not elementary, a signature that starts with - and ends
+    with +, ...).  Whether each changed signed value has p-th coefficient
+    -1 is condition (b) of `check_conditions`.
     """
     p, n = td.pair.p, td.pair.n
     pos_of = {lab: t for t, lab in td.label_of.items()}
@@ -89,9 +90,8 @@ def build_pi_star(td, sig):
 
     def add_instr(idx, span, case, turn):
         # every caller passes t or t - 1 for a turning position t, so
-        # beta_idx is a boundary value
-        if not 1 <= idx <= n - 1:
-            raise ConstructionRuleError("index %d out of range" % idx)
+        # beta_idx is a boundary value, and 1 <= idx <= n - 1: t - 1 only
+        # for t > 1, and t never for the end point n, a B point
         if td.nil[idx - 1]:
             raise ConstructionRuleError("tried to change the nil value beta_%d" % idx)
         if idx in instructions:
@@ -186,8 +186,6 @@ def build_pi_star(td, sig):
         newv = rootlab.add(betas[idx - 1], iv)
         if newv is None:
             raise ConstructionRuleError("changed beta_%d is not elementary" % idx)
-        if rootlab.alpha_p_coefficient(rootlab.scale(td.eps[idx - 1], newv), p) != -1:
-            raise ConstructionRuleError("changed beta_%d misses coefficient -1" % idx)
         beta_prime[idx - 1] = newv
         entries[idx] = ChangeEntry(index=idx, span=span, case=case, added=iv)
 
@@ -248,15 +246,6 @@ def check_conditions(td, beta_now):
     return res
 
 
-def _reanchor(values, betas, i, e):
-    """values[i] - beta_e, the value i re-anchored off the exceptional
-    value; ConstructionRuleError when that is not a root."""
-    r = rootlab.sub(values[i - 1], betas[e - 1])
-    if r is None:
-        raise ConstructionRuleError("re-anchored beta_%d is not a root" % i)
-    return r
-
-
 def exceptional_fix(td, ledger):
     """Repair step when the exceptional value was left unchanged.
 
@@ -296,7 +285,7 @@ def exceptional_fix(td, ledger):
             raise ConstructionRuleError("ambiguous re-anchoring of the exceptional value")
         if cands:
             i0 = cands[0]
-            fixes[i0] = _reanchor(bp, betas, i0, e)
+            fixes[i0] = rootlab.sub(bp[i0 - 1], betas[e - 1])  # a root, by `cands`
     beta_final = list(bp)
     for i, v in fixes.items():
         beta_final[i - 1] = v

@@ -128,9 +128,10 @@ def basis_layout(pair):
     units row by row and then its H_x; the corner block comes last, row by
     row.  With w = n + 1, position[x * w + y] is the id of E_xy and
     diagonal[x] that of H_x; both hold -1 off the basis, so there is no H_0,
-    H_p or H_n.
+    H_p or H_n.  For n = p + q that is p(p-1) + (p-1) + q(q-1) + (q-1) + pq
+    = p^2 + q^2 + pq - 2 ids.
     """
-    p, q, n = pair.p, pair.q, pair.n
+    p, n = pair.p, pair.n
     w = n + 1
     elements = []
     position = [-1] * (w * w)
@@ -148,9 +149,6 @@ def basis_layout(pair):
         for y in range(1, p + 1):
             position[x * w + y] = len(elements)
             elements.append((x, y))
-    d = p * p + q * q + p * q - 2
-    if len(elements) != d:
-        raise ValueError("the parabolic basis has %d elements, expected %d" % (len(elements), d))
     return elements, position, diagonal
 
 
@@ -396,11 +394,9 @@ def eta_regularity(form):
 
     The kernel of the skew form S, the `graded_skew_form` of the pair, is
     that centraliser; its rank is the sum of the exact ranks of the ad h
-    weight blocks.  dim is always odd here.
+    weight blocks.  dim = p^2 + q^2 + pq - 2 is odd, as p and q are coprime.
     """
     d = form.dim
-    if d % 2 != 1:
-        raise ValueError("the truncated parabolic has even dimension %d" % d)
     rank = form.rank
     return {
         "dim_p": d,

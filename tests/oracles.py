@@ -7,7 +7,8 @@ engine of `slicebuild.construct` and the checker itself.
 `support_matrix` turns a support of roots back into the dense 0/1 matrix
 for the dense rank oracles.  `turning_set_sign_flip` finds the turning
 values from the two involutions, independently of the closed form that
-`meander.turning_data` uses.
+`meander.turning_data` uses.  `mutate` breaks a library module on purpose,
+for the tests that must then fail.
 
 The library stores a root e_a - e_b as the pair (a, b).  `dense` writes it
 out as n coordinates over e_1..e_n, and the dense helpers below do the
@@ -15,6 +16,7 @@ arithmetic the pairs replace, coordinate by coordinate, so the tests can
 compare the two.
 """
 
+import inspect
 from itertools import accumulate, product
 
 from meanderslice import linalg, rootlab
@@ -345,3 +347,18 @@ def dict_graded_form(ap):
     if sum(ranks.values()) != len(weights) - len(weights) % 2:
         ranks = {lam: dense_block_rank(rows.values()) for lam, rows in blocks.items()}
     return weights, blocks, ranks
+
+
+def mutate(monkeypatch, module, old, new):
+    """Patch `module` in place so that its source, which holds `old` exactly
+    once, reads `new` there: every function of the module runs the code
+    compiled from the edited source, whatever name its caller holds, until
+    `monkeypatch` undoes it.  Returns `module`."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1
+    edited = {"__name__": module.__name__, "__package__": module.__package__}
+    exec(compile(source.replace(old, new), "<mutant %s>" % module.__name__, "exec"), edited)
+    for name, function in vars(module).items():
+        if inspect.isfunction(function) and function.__module__ == module.__name__:
+            monkeypatch.setattr(function, "__code__", edited[name].__code__)
+    return module

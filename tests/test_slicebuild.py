@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from meanderslice import rootlab, slicebuild
 from meanderslice.meander import (
     CoprimePair,
+    Signature,
     beta_sequence,
     coprime_pairs,
     signature,
@@ -27,6 +29,7 @@ from oracles import (
     dense_scale,
     exhaustive_candidates,
     exhaustive_solutions,
+    mutate,
     to_simple_coords,
 )
 
@@ -297,24 +300,59 @@ def test_rule_engine_rejects_a_minus_start_with_a_plus_end(monkeypatch):
         construct(CoprimePair(2, 3))
 
 
-@pytest.mark.parametrize(
-    "p, q, full, message",
-    [
-        # the real full signature of (2,3) is (-1,): a + at its one A point
-        # asks for the nil value below it to change
-        (2, 3, (1,), r"\(2,3\): tried to change the nil value beta_1$"),
-        # the real one of (5,6) is (+1, -1, -1): a + after the - run sends
-        # the compound partner of the first + point onto an isolated value
-        (5, 6, (1, -1, 1), r"\(5,6\): isolated value met a compound change at position 7$"),
-    ],
-)
-def test_rule_engine_rejects_a_forged_signature(p, q, full, message, monkeypatch):
+FORGED_SIGNATURES = [
+    # the real full signature of (2,3) is (-1,): a + at its one A point
+    # asks for the nil value below it to change
+    (2, 3, (1,), r"\(2,3\): tried to change the nil value beta_1$", ()),
+    # the real one of (5,6) is (+1, -1, -1): a + after the - run sends
+    # the compound partner of the first + point onto an isolated value
+    (5, 6, (1, -1, 1), r"\(5,6\): isolated value met a compound change at position 7$", ()),
+    # the real one of (3,4) is (+1, -1); with beta_3 no longer nil, a +
+    # at the A point 4 changes beta_3, and so does the B point 3 that
+    # the starting end of the odd p matches
+    (3, 4, (1, 1), r"\(3,4\): beta_3 changed twice$", (3,)),
+]
+
+
+@pytest.mark.parametrize("p, q, full, message, nil", FORGED_SIGNATURES)
+def test_rule_engine_rejects_a_forged_signature(p, q, full, message, nil, monkeypatch):
+    # the walk keeps its nil flags but for the values in `nil`
+    def forged_walk(tr):
+        td = turning_data(tr)
+        return replace(td, nil=tuple(flag != (i in nil) for i, flag in enumerate(td.nil, 1)))
+
     def forged(td):
         changes = (1,) + tuple(j + 1 for j in range(1, len(full)) if full[j] != full[j - 1])
-        return replace(signature(td), sg=full[: td.pair.p // 2], full=full, changes=changes)
+        return Signature(sg=full[: td.pair.p // 2], full=full, changes=changes)
 
     assert signature(turning_data(traversal(CoprimePair(p, q)))).full != full
+    monkeypatch.setattr(slicebuild, "turning_data", forged_walk)
     monkeypatch.setattr(slicebuild, "signature", forged)
+    with pytest.raises(ConstructionRuleError, match=message):
+        construct(CoprimePair(p, q))
+
+
+FORGED_LABELLINGS = [
+    # (2,3) turns at 1, 2, 5 with labels 0, 1, 2: labelled 1, 0, 2, its A
+    # point is the starting end, which takes no change, and no change is
+    # left for the B point 2
+    (2, 3, (1, 0, 2), r"\(2,3\): no change at turning positions \[2\]$"),
+    # (3,5) turns at 1, 3, 7, 8 with labels 1, 2, 3, 4: labelled 3, 2, 1, 4,
+    # both A points read +, and the partner of the A point 7 and the B point
+    # of label 2 that the odd p changes are both at position 3
+    (3, 5, (3, 2, 1, 4), r"\(3,5\): two changes at turning position 3$"),
+]
+
+
+@pytest.mark.parametrize("p, q, labels, message", FORGED_LABELLINGS)
+def test_rule_engine_rejects_a_forged_labelling(p, q, labels, message, monkeypatch):
+    # the labels leave walk order; the signature is read from the forged walk
+    def forged_walk(tr):
+        td = turning_data(tr)
+        return replace(td, label_of=dict(zip(td.positions, labels)))
+
+    assert tuple(turning_data(traversal(CoprimePair(p, q))).label_of.values()) != labels
+    monkeypatch.setattr(slicebuild, "turning_data", forged_walk)
     with pytest.raises(ConstructionRuleError, match=message):
         construct(CoprimePair(p, q))
 
@@ -367,12 +405,6 @@ def test_two_re_anchoring_candidates_are_a_rule_error():
     bp[3] = rootlab.eps_diff(8, 7, 12)
     with pytest.raises(ConstructionRuleError, match="ambiguous re-anchoring"):
         exceptional_fix(sc.turning, replace(sc.ledger, beta_prime=tuple(bp)))
-
-
-def test_reanchoring_off_a_non_root_is_a_rule_error():
-    # e_1 - e_2 minus e_3 - e_4 is not a root
-    with pytest.raises(ConstructionRuleError, match="re-anchored beta_1 is not a root"):
-        slicebuild._reanchor(((1, 2),), ((3, 4),), 1, 1)
 
 
 def test_ledger_bytes_pinned_to_n_140():
@@ -529,3 +561,82 @@ def test_exhaustive_deterministic():
     a = [s.beta_final for s in exhaustive_solutions(td)]
     b = [s.beta_final for s in exhaustive_solutions(td)]
     assert a == b and len(a) >= 1
+
+
+# --- mutants --------------------------------------------------------------
+
+SLICEBUILD_MUTANTS = {
+    # name: (a guard of `slicebuild`, the test that reaches it, that test's
+    # arguments); once the guard reads `if False:`, the test must fail
+    "interval_value": (
+        "if not s < t or s not in td.label_of or t not in td.label_of:",
+        test_interval_value_requires_turning_positions,
+        (),
+    ),
+    "minus_start_plus_end": (
+        "if first == -1 and full[-1] == 1:",
+        test_rule_engine_rejects_a_minus_start_with_a_plus_end,
+        (),
+    ),
+    "nil_value": (
+        "if td.nil[idx - 1]:",
+        test_rule_engine_rejects_a_forged_signature,
+        FORGED_SIGNATURES[0],
+    ),
+    "changed_twice": (
+        "if idx in instructions:",
+        test_rule_engine_rejects_a_forged_signature,
+        FORGED_SIGNATURES[2],
+    ),
+    "two_changes": (
+        "if turn in covered:",
+        test_rule_engine_rejects_a_forged_labelling,
+        FORGED_LABELLINGS[1],
+    ),
+    "compound_on_isolated": (
+        "            if compound_span is not None:",  # not the elif after it
+        test_rule_engine_rejects_a_forged_signature,
+        FORGED_SIGNATURES[1],
+    ),
+    "no_change": ("if missing:", test_rule_engine_rejects_a_forged_labelling, FORGED_LABELLINGS[0]),
+    "not_elementary": ("if newv is None:", test_rule_engine_rejects_a_sum_that_is_not_a_root, ()),
+    "anchor_count": ("if len(anchors) != 1:", test_anchor_needs_exactly_one_turning_point, (1,)),
+    "anchor_side": ('if td.tag_at(t0) != "B":', test_anchor_must_be_on_the_b_side, ()),
+    "end_anchor": ("if td.pair.p != 1:", test_end_anchor_needs_p_equal_to_one, ()),
+    "second_boundary": (
+        "if f not in ledger.entries:",
+        test_anchor_needs_its_second_boundary_changed,
+        (),
+    ),
+    "ambiguous_anchor": (
+        "if len(cands) > 1:",
+        test_two_re_anchoring_candidates_are_a_rule_error,
+        (),
+    ),
+    "checker": ('if not checks["ok"]:', test_construct_fails_with_the_checker_witness, ()),
+    "unit_diagonal": (
+        "if not (lo <= i < hi and sign == td.eps[i - 1]):",
+        test_triangularity_rejects_non_unit_diagonal,
+        (),
+    ),
+    "cycle": ("if len(order) != td.pair.n - 1:", test_triangularity_rejects_a_cycle, ()),
+}
+
+
+def run_test(test, args):
+    """Call the test function `test` on `args`, with a monkeypatch of its
+    own when it takes one."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if "monkeypatch" in inspect.signature(test).parameters:
+            test(*args, monkeypatch=monkeypatch)
+        else:
+            test(*args)
+
+
+@pytest.mark.parametrize("mutation", sorted(SLICEBUILD_MUTANTS))
+def test_slicebuild_mutants_fail_their_tests(monkeypatch, mutation):
+    guard, test, args = SLICEBUILD_MUTANTS[mutation]
+    run_test(test, args)
+    mutate(monkeypatch, slicebuild, guard, guard[: guard.index("if ")] + "if False:")
+    with pytest.raises((Exception, pytest.fail.Exception)):
+        run_test(test, args)
