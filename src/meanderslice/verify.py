@@ -80,7 +80,9 @@ def _solve_h_on_walk(td):
 
 def alpha_eigenvalue(pair):
     """The eigenvalue m of h on x_alpha in closed form: the integer with
-    2(m + 1) = p^2 + q^2 + pq - 1 (p^2 + q^2 + pq is odd for coprime p, q)."""
+    2(m + 1) = p^2 + q^2 + pq - 1 (p^2 + q^2 + pq is odd for coprime p, q).
+    So m = (d - 1)/2, with d = p^2 + q^2 + pq - 2 the dimension of the
+    truncated parabolic (`GradedForm.dim`)."""
     p, q = pair.p, pair.q
     return (p * p + q * q + p * q - 3) // 2
 
@@ -118,46 +120,20 @@ def adapted_pair(td):
     return AdaptedPair(pair=pair, eta_support=tuple(support), alpha=alpha, h=h, m=m)
 
 
-def basis_layout(pair):
-    """Integer ids for the basis of the truncated two-block parabolic: both
-    traceless diagonal blocks plus the lower-left corner block.
-
-    Returns (elements, position, diagonal).  Id k names elements[k] = (x, y),
-    the unit E_xy when x != y and the Cartan element
-    H_x = E_xx - E_{x+1,x+1} when x == y.  Each diagonal block lists its
-    units row by row and then its H_x; the corner block comes last, row by
-    row.  With w = n + 1, position[x * w + y] is the id of E_xy and
-    diagonal[x] that of H_x; both hold -1 off the basis, so there is no H_0,
-    H_p or H_n.  For n = p + q that is p(p-1) + (p-1) + q(q-1) + (q-1) + pq
-    = p^2 + q^2 + pq - 2 ids.
-    """
-    p, n = pair.p, pair.n
-    w = n + 1
-    elements = []
-    position = [-1] * (w * w)
-    diagonal = [-1] * w
-    for lo, hi in ((1, p), (p + 1, n)):
-        for x in range(lo, hi + 1):
-            for y in range(lo, hi + 1):
-                if x != y:
-                    position[x * w + y] = len(elements)
-                    elements.append((x, y))
-        for x in range(lo, hi):
-            diagonal[x] = len(elements)
-            elements.append((x, x))
-    for x in range(p + 1, n + 1):
-        for y in range(1, p + 1):
-            position[x * w + y] = len(elements)
-            elements.append((x, y))
-    return elements, position, diagonal
-
-
 def parabolic_basis(pair):
-    """The basis of `basis_layout` in the order of its ids, each element a
-    sparse dict (row, col) -> coeff, 1-based (for the dense oracle
-    `skew_form_matrix`)."""
-    elements, _, _ = basis_layout(pair)
-    return [{(x, y): 1} if x != y else {(x, x): 1, (x + 1, x + 1): -1} for x, y in elements]
+    """The basis of the truncated two-block parabolic, each element a sparse
+    dict (row, col) -> coeff, 1-based (for the dense oracle
+    `skew_form_matrix`): each diagonal block lists its units E_xy row by row
+    and then its Cartan elements H_x = E_xx - E_{x+1,x+1}; the lower-left
+    corner block comes last, row by row."""
+    p, n = pair.p, pair.n
+    basis = []
+    for lo, hi in ((1, p), (p + 1, n)):
+        block = range(lo, hi + 1)
+        basis += [{(x, y): 1} for x in block for y in block if x != y]
+        basis += [{(x, x): 1, (x + 1, x + 1): -1} for x in range(lo, hi)]
+    basis += [{(x, y): 1} for x in range(p + 1, n + 1) for y in range(1, p + 1)]
+    return basis
 
 
 def _sparse_from_roots(roots):
@@ -222,9 +198,13 @@ def certified_rank(m, upper_bound):
 class GradedForm:
     """The skew form S_{jk} = trace(eta [b_j, b_k]) split by ad h weight.
 
-    j and k are the ids of `basis_layout`, and `weights[j]` is the integer
-    ad h weight of b_j.  `position[x * stride + y]` is the id of E_xy, or -1
-    off the truncated parabolic.  `rows[j]` is the row {k: S_jk} of id j;
+    j and k are matrix positions, with w = n + 1 for the n of `pair`: the
+    unit E_xy has id x * w + y, and the Cartan element
+    H_x = E_xx - E_{x+1,x+1} has id x * w + x.  E_xy is in the truncated
+    parabolic iff x != y and not x <= p < y, and H_x iff 0 < x < n and
+    x != p; every other id names no basis element, and its row is empty.
+    `weights[x * w + y]` is h_x - h_y, the integer ad h weight of E_xy, and
+    0 on each H_x.  `rows[j]` is the row {k: S_jk} of id j;
     eta has weight -1, so its columns all have weight 1 - weights[j], and
     the rows of weight lam form the block V_lam x V_{1-lam}.  The form is
     built one root of eta at a time, each entry written with its mirror, so
@@ -236,15 +216,18 @@ class GradedForm:
     rank S is their sum.
     """
 
+    pair: object
     weights: tuple
-    position: list
-    stride: int
     rows: list
     ranks: dict
 
     @property
     def dim(self):
-        return len(self.weights)
+        """The number of basis elements: both traceless diagonal blocks,
+        p(p-1) + (p-1) and q(q-1) + (q-1), plus the pq units of the corner
+        block, so p^2 + q^2 + pq - 2."""
+        p, q = self.pair.p, self.pair.q
+        return p * p + q * q + p * q - 2
 
     @property
     def rank(self):
@@ -261,6 +244,14 @@ def _block_rank(rows):
     columns are upper bounds, so a GF(2) rank that meets either count is
     exact for this block alone.  Any other block is ranked by Bareiss
     elimination.
+
+    Without a Bareiss call the certified ranks do not depend on the signs
+    of the entries.  A pivot of the leaf-peel needs only a non-zero entry,
+    the GF(2) rank reads only which entries are odd, and the two counts
+    only which are non-zero.  Every entry of the skew form, and of the row
+    that `complement_check` adds, is +1 or -1, so a GF(2) rank that meets a
+    count is the exact rank of every matrix with the same pattern of
+    entries, whatever their signs.  Only Bareiss reads them.
     """
     rows = list(rows)
     rank = linalg.rank_mod_2(rows)
@@ -271,37 +262,41 @@ def _block_rank(rows):
     return rank
 
 
-def _form_rows(support, position, diagonal, size):
+def _form_rows(support, p, n):
     """The rows {k: S_jk} of the skew form of eta = sum of x_beta over
-    `support`, for the `size` basis ids of `basis_layout` (`position` and
-    `diagonal` are its lists), built one root of eta at a time.
+    `support`, one per position id of `GradedForm` ((n + 1)^2 rows, empty
+    off the truncated parabolic of (p, n - p)), built one root of eta at a
+    time.
 
     S_jk = trace(eta [b_j, b_k]), and trace(eta [E_cd, E_ef]) is
     eta_fc when d = e, minus eta_de when f = c.  So a root (a, b) gives
     S(E_bx, E_xa) = 1 for every x other than a and b, and, through
     [H_x, E_ba], S(H_x, E_ba) = +1 at H_{a-1} and H_b and -1 at H_a and
     H_{b-1}.  Each entry is written with its mirror -S into the partner
-    row, so the form is alternating by construction; id -1 names no basis
-    element and is skipped.  No entry is written twice.  A unit pair of
+    row, so the form is alternating by construction.  Only basis elements
+    are written: E_bx and E_xa are both in the parabolic iff x is in lo..hi,
+    with lo = p + 1 when a > p (else 1) and hi = p when b <= p (else n),
+    and x is neither a nor b.  E_ba is in it iff not b <= p < a, and H_x iff
+    0 < x < n and x != p.  No entry is written twice.  A unit pair of
     root (a, b) is a unit pair of (a', b') only for the same root, since
     (E_bx, E_xa) = (E_x'a', E_b'x') would need x' = b and x' = a.  The four
     H_x of one root are distinct unless it is +- simple, and
     `turning_data` certifies that alpha, which the support leaves out, is
     the only +- simple chain value.  So every stored entry is +1 or -1.
     """
-    w = len(diagonal)
-    rows = [{} for _ in range(size)]
+    w = n + 1
+    rows = [{} for _ in range(w * w)]
     for a, b in support:
-        for x in range(1, w):
-            j, k = position[b * w + x], position[x * w + a]
-            if j >= 0 and k >= 0:
+        for x in range(p + 1 if a > p else 1, (p if b <= p else n) + 1):
+            if x != a and x != b:
+                j, k = b * w + x, x * w + a
                 rows[j][k] = 1
                 rows[k][j] = -1
-        k = position[b * w + a]
-        if k >= 0:
+        if not b <= p < a:
+            k = b * w + a
             for x, v in ((a - 1, 1), (a, -1), (b - 1, -1), (b, 1)):
-                i = diagonal[x]
-                if i >= 0:
+                if 0 < x < n and x != p:
+                    i = x * w + x
                     rows[i][k] = v
                     rows[k][i] = -v
     return rows
@@ -351,7 +346,7 @@ def _peel_ranks(rows, weights, lams):
 
 def graded_skew_form(ap):
     """The skew form of eta = sum of x_beta over the support of the adapted
-    pair `ap`, over the integer ids of `basis_layout`, ranked by one
+    pair `ap`, over the position ids of `GradedForm`, ranked by one
     leaf-peel of the whole form (`_peel_ranks`).
 
     The weights come from the integral h of `ap`.  Every root of the support
@@ -365,7 +360,7 @@ def graded_skew_form(ap):
     Each rank is the number of pivots peeled in its block plus the
     certified rank of its core.
     """
-    elements, position, diagonal = basis_layout(ap.pair)
+    pair = ap.pair
     for r in ap.eta_support:
         lam = h_eigenvalue(ap.h, r)
         if lam != -1:
@@ -374,19 +369,13 @@ def graded_skew_form(ap):
                 % (r, lam, -lam)
             )
     h = (0, *ap.h)  # 1-based
-    weights = [h[x] - h[y] for x, y in elements]  # 0 on each H_x
-    rows = _form_rows(ap.eta_support, position, diagonal, len(elements))
+    weights = [hx - hy for hx in h for hy in h]  # of id x * (n + 1) + y; 0 on each H_x
+    rows = _form_rows(ap.eta_support, pair.p, pair.n)
     lams = dict.fromkeys(lam for lam, row in zip(weights, rows) if lam >= 1 and row)
     ranks = _peel_ranks(rows, weights, lams)
     for lam in list(ranks):
         ranks[1 - lam] = ranks[lam]
-    return GradedForm(
-        weights=tuple(weights),
-        position=position,
-        stride=len(diagonal),
-        rows=rows,
-        ranks=ranks,
-    )
+    return GradedForm(pair=pair, weights=tuple(weights), rows=rows, ranks=ranks)
 
 
 def eta_regularity(form):
@@ -413,13 +402,14 @@ def complement_check(form, root):
 
     The functional of x_r = E_ab is trace(E_ab b_k), non-zero only on
     b_k = E_ba, of weight -h(r), and zero on the whole basis when E_ba is
-    not in it (id -1).  Its row joins the block whose columns have that
-    weight, and only that block is ranked again (`_block_rank`).
+    not in it, that is when b <= p < a.  Its row joins the block whose
+    columns have that weight, and only that block is ranked again
+    (`_block_rank`).
     """
     a, b = root
     rank = form.rank
-    k = form.position[b * form.stride + a]
-    if k >= 0:
+    if not b <= form.pair.p < a:
+        k = b * (form.pair.n + 1) + a
         lam = 1 - form.weights[k]
         rows = [row for row, weight in zip(form.rows, form.weights) if weight == lam and row]
         rows.append({k: 1})

@@ -8,7 +8,7 @@ engine of `slicebuild.construct` and the checker itself.
 for the dense rank oracles.  `turning_set_sign_flip` finds the turning
 values from the two involutions, independently of the closed form that
 `meander.turning_data` uses.  `mutate` breaks a library module on purpose,
-for the tests that must then fail.
+for the tests that must then fail, and `run_test` runs such a test.
 
 The library stores a root e_a - e_b as the pair (a, b).  `dense` writes it
 out as n coordinates over e_1..e_n, and the dense helpers below do the
@@ -18,6 +18,8 @@ compare the two.
 
 import inspect
 from itertools import accumulate, product
+
+import pytest
 
 from meanderslice import linalg, rootlab
 from meanderslice.meander import sigma, tau, traversal, turning_data
@@ -212,6 +214,14 @@ def dict_parabolic_basis(pair):
     return basis
 
 
+def position_id(b, w):
+    """The id of the basis element b of `dict_parabolic_basis` in
+    `verify.GradedForm`, w = n + 1: E_xy is x * w + y, and
+    E_xx - E_(x+1)(x+1) is x * w + x."""
+    x, y = min(b)
+    return x * w + y
+
+
 def _dict_form_row(b, index, position, diagonal):
     """Row {k: S_jk} of the skew form for the dict basis element b = b_j:
     [eta, E_cd] has +1 at (a, d) for each entry (a, c) of eta and -1 at
@@ -260,24 +270,24 @@ def dense_block_rank(rows):
     return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
 
 
-def component_census(rows):
+def component_census(rows, ids):
     """One (size, edges, rank, core) tuple per connected component of the
     alternating form with rows {k: S_jk}, in order of least id.  Its graph
-    has one vertex per id and one edge per stored pair {j, k}, so an id with
-    an empty row is a component of its own, and a component is acyclic
-    exactly when edges == size - 1.
+    has one vertex per id in `ids`, the basis ids in increasing order, and
+    one edge per stored pair {j, k}, so a basis id with an empty row is a
+    component of its own, and a component is acyclic exactly when
+    edges == size - 1.  Rows off `ids` must be empty.
 
     rank is the rank of the component's rows modulo PRIME.  It is a lower
     bound on the rational rank, and the form alternates, so its rank is
-    even and at most d - 1 when d is odd: when the ranks sum to d - 1,
-    every one of them is exact.  core counts the component's ids that a
-    leaf-peel of the whole form leaves with a live entry; the peel removes
-    a line with one live entry together with its partner line, in the
-    order of `verify._peel_ranks`, until no such line is left.
+    even and at most d - 1 when d = len(ids) is odd: when the ranks sum to
+    d - 1, every one of them is exact.  core counts the component's ids
+    that a leaf-peel of the whole form leaves with a live entry; the peel
+    removes a line with one live entry together with its partner line, in
+    the order of `verify._peel_ranks`, until no such line is left.
     """
-    d = len(rows)
     live = list(map(len, rows))
-    leaves = [j for j in range(d) if live[j] == 1]
+    leaves = [j for j, degree in enumerate(live) if degree == 1]
     for j in leaves:  # grows while it is walked
         if live[j] == 1:
             (k,) = [k for k in rows[j] if live[k]]
@@ -287,46 +297,52 @@ def component_census(rows):
                     live[i] -= 1
                     if live[i] == 1:
                         leaves.append(i)
-    seen = [False] * d
+    seen = [False] * len(rows)
     census = []
-    for root in range(d):
+    for root in ids:
         if seen[root]:
             continue
         seen[root] = True
-        ids = [root]
-        for j in ids:  # breadth first: grows while it is walked
+        members = [root]
+        for j in members:  # breadth first: grows while it is walked
             for k in rows[j]:
                 if not seen[k]:
                     seen[k] = True
-                    ids.append(k)
-        component = [rows[j] for j in ids]
+                    members.append(k)
+        component = [rows[j] for j in members]
         edges = sum(map(len, component)) // 2
         rank = linalg.rank_mod_prime(component, PRIME)
-        census.append((len(ids), edges, rank, sum(1 for j in ids if live[j])))
+        census.append((len(members), edges, rank, sum(1 for j in members if live[j])))
     return census
 
 
 def dict_form_rows(ap):
     """(weights, rows) of the skew form of the adapted pair `ap`, built with
     dicts throughout: one dict per basis element, a dict from (i, j) to the
-    index of E_ij, and every row {k: S_jk} from its own side, the rows of the
-    Cartan elements included.  Both lists are in the library's id order."""
+    id of E_ij, and every row {k: S_jk} from its own side, the rows of the
+    Cartan elements included.  Both are keyed by the library's position ids
+    (`position_id`): weights is a dict from the id of each basis element to
+    its ad h weight, and rows a list of (n + 1)^2 rows, empty off the basis."""
     basis = dict_parabolic_basis(ap.pair)
-    position, diagonal, weights = {}, {}, []
-    for k, b in enumerate(basis):
+    w = ap.pair.n + 1
+    ids = [position_id(b, w) for b in basis]
+    position, diagonal, weights = {}, {}, {}
+    for k, b in zip(ids, basis):
         if len(b) == 1:
             ((i, j),) = b
             position[(i, j)] = k
-            weights.append(ap.h[i - 1] - ap.h[j - 1])
+            weights[k] = ap.h[i - 1] - ap.h[j - 1]
         else:
             diagonal[min(i for i, _ in b)] = k
-            weights.append(0)
+            weights[k] = 0
     by_row, by_col = {}, {}
     for a, b in ap.eta_support:
         by_row.setdefault(a, []).append(b)
         by_col.setdefault(b, []).append(a)
-    rows = [_dict_form_row(b, (by_row, by_col), position, diagonal) for b in basis]
-    return tuple(weights), rows
+    rows = [{} for _ in range(w * w)]
+    for k, b in zip(ids, basis):
+        rows[k] = _dict_form_row(b, (by_row, by_col), position, diagonal)
+    return weights, rows
 
 
 def dict_graded_form(ap):
@@ -362,3 +378,13 @@ def mutate(monkeypatch, module, old, new):
         if inspect.isfunction(function) and function.__module__ == module.__name__:
             monkeypatch.setattr(function, "__code__", edited[name].__code__)
     return module
+
+
+def run_test(test, args):
+    """Call the test function `test` on `args`, with a monkeypatch of its
+    own when it takes one."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if "monkeypatch" in inspect.signature(test).parameters:
+            test(*args, monkeypatch=monkeypatch)
+        else:
+            test(*args)

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 from dataclasses import replace
 
 import pytest
@@ -30,6 +29,7 @@ from oracles import (
     exhaustive_candidates,
     exhaustive_solutions,
     mutate,
+    run_test,
     to_simple_coords,
 )
 
@@ -565,78 +565,128 @@ def test_exhaustive_deterministic():
 
 # --- mutants --------------------------------------------------------------
 
+def if_false(guard):
+    """The source edit that turns the `slicebuild` guard `guard` into
+    `if False:`."""
+    return guard, guard[: guard.index("if ")] + "if False:"
+
+
 SLICEBUILD_MUTANTS = {
-    # name: (a guard of `slicebuild`, the test that reaches it, that test's
-    # arguments); once the guard reads `if False:`, the test must fail
+    # name: (a source edit of `slicebuild`, the test that must fail once it
+    # is made, that test's arguments); the test passes before the edit.
+    # Each guard, turned into `if False:`, and the test that reaches it:
     "interval_value": (
-        "if not s < t or s not in td.label_of or t not in td.label_of:",
+        *if_false("if not s < t or s not in td.label_of or t not in td.label_of:"),
         test_interval_value_requires_turning_positions,
         (),
     ),
     "minus_start_plus_end": (
-        "if first == -1 and full[-1] == 1:",
+        *if_false("if first == -1 and full[-1] == 1:"),
         test_rule_engine_rejects_a_minus_start_with_a_plus_end,
         (),
     ),
     "nil_value": (
-        "if td.nil[idx - 1]:",
+        *if_false("if td.nil[idx - 1]:"),
         test_rule_engine_rejects_a_forged_signature,
         FORGED_SIGNATURES[0],
     ),
     "changed_twice": (
-        "if idx in instructions:",
+        *if_false("if idx in instructions:"),
         test_rule_engine_rejects_a_forged_signature,
         FORGED_SIGNATURES[2],
     ),
     "two_changes": (
-        "if turn in covered:",
+        *if_false("if turn in covered:"),
         test_rule_engine_rejects_a_forged_labelling,
         FORGED_LABELLINGS[1],
     ),
     "compound_on_isolated": (
-        "            if compound_span is not None:",  # not the elif after it
+        *if_false("            if compound_span is not None:"),  # not the elif after it
         test_rule_engine_rejects_a_forged_signature,
         FORGED_SIGNATURES[1],
     ),
-    "no_change": ("if missing:", test_rule_engine_rejects_a_forged_labelling, FORGED_LABELLINGS[0]),
-    "not_elementary": ("if newv is None:", test_rule_engine_rejects_a_sum_that_is_not_a_root, ()),
-    "anchor_count": ("if len(anchors) != 1:", test_anchor_needs_exactly_one_turning_point, (1,)),
-    "anchor_side": ('if td.tag_at(t0) != "B":', test_anchor_must_be_on_the_b_side, ()),
-    "end_anchor": ("if td.pair.p != 1:", test_end_anchor_needs_p_equal_to_one, ()),
+    "no_change": (
+        *if_false("if missing:"),
+        test_rule_engine_rejects_a_forged_labelling,
+        FORGED_LABELLINGS[0],
+    ),
+    "not_elementary": (
+        *if_false("if newv is None:"),
+        test_rule_engine_rejects_a_sum_that_is_not_a_root,
+        (),
+    ),
+    "anchor_count": (
+        *if_false("if len(anchors) != 1:"),
+        test_anchor_needs_exactly_one_turning_point,
+        (1,),
+    ),
+    "anchor_side": (
+        *if_false('if td.tag_at(t0) != "B":'),
+        test_anchor_must_be_on_the_b_side,
+        (),
+    ),
+    "end_anchor": (*if_false("if td.pair.p != 1:"), test_end_anchor_needs_p_equal_to_one, ()),
     "second_boundary": (
-        "if f not in ledger.entries:",
+        *if_false("if f not in ledger.entries:"),
         test_anchor_needs_its_second_boundary_changed,
         (),
     ),
     "ambiguous_anchor": (
-        "if len(cands) > 1:",
+        *if_false("if len(cands) > 1:"),
         test_two_re_anchoring_candidates_are_a_rule_error,
         (),
     ),
-    "checker": ('if not checks["ok"]:', test_construct_fails_with_the_checker_witness, ()),
+    "checker": (
+        *if_false('if not checks["ok"]:'),
+        test_construct_fails_with_the_checker_witness,
+        (),
+    ),
     "unit_diagonal": (
-        "if not (lo <= i < hi and sign == td.eps[i - 1]):",
+        *if_false("if not (lo <= i < hi and sign == td.eps[i - 1]):"),
         test_triangularity_rejects_non_unit_diagonal,
         (),
     ),
-    "cycle": ("if len(order) != td.pair.n - 1:", test_triangularity_rejects_a_cycle, ()),
+    "cycle": (*if_false("if len(order) != td.pair.n - 1:"), test_triangularity_rejects_a_cycle, ()),
+    # condition (d) of the checker skips a changed value, always holds, or
+    # names only the first bad value in its witness
+    "d_skips_a_changed_value": (
+        "for i in changed if i != td.e}",
+        "for i in changed[1:] if i != td.e}",
+        test_condition_d_on_changed_values_matches_the_full_check,
+        (),
+    ),
+    "d_always_holds": (
+        'res["d"] = not bad',
+        'res["d"] = True',
+        test_condition_d_on_changed_values_matches_the_full_check,
+        (),
+    ),
+    "d_witness_names_one_value": (
+        '"negative original values %r" % bad',
+        '"negative original values %r" % bad[:1]',
+        test_condition_d_on_changed_values_matches_the_full_check,
+        (),
+    ),
+    # the unit diagonal of the triangular order drops one of its two tests
+    "diagonal_ignores_the_sign": (
+        "if not (lo <= i < hi and sign == td.eps[i - 1]):",
+        "if not (lo <= i < hi):",
+        test_triangularity_rejects_non_unit_diagonal,
+        (),
+    ),
+    "diagonal_ignores_the_interval": (
+        "if not (lo <= i < hi and sign == td.eps[i - 1]):",
+        "if not (sign == td.eps[i - 1]):",
+        test_triangularity_rejects_non_unit_diagonal,
+        (),
+    ),
 }
-
-
-def run_test(test, args):
-    """Call the test function `test` on `args`, with a monkeypatch of its
-    own when it takes one."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        if "monkeypatch" in inspect.signature(test).parameters:
-            test(*args, monkeypatch=monkeypatch)
-        else:
-            test(*args)
 
 
 @pytest.mark.parametrize("mutation", sorted(SLICEBUILD_MUTANTS))
 def test_slicebuild_mutants_fail_their_tests(monkeypatch, mutation):
-    guard, test, args = SLICEBUILD_MUTANTS[mutation]
+    old, new, test, args = SLICEBUILD_MUTANTS[mutation]
     run_test(test, args)
-    mutate(monkeypatch, slicebuild, guard, guard[: guard.index("if ")] + "if False:")
+    mutate(monkeypatch, slicebuild, old, new)
     with pytest.raises((Exception, pytest.fail.Exception)):
         run_test(test, args)

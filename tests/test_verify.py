@@ -39,6 +39,8 @@ from oracles import (
     dot,
     form_blocks,
     mutate,
+    position_id,
+    run_test,
     walk,
 )
 
@@ -257,33 +259,47 @@ def test_zero_functional_degenerate():
 
 
 def test_parabolic_basis_dimension():
-    for pair in coprime_pairs(14):
+    # d and m are one count: d = 2m + 1
+    for pair in coprime_pairs(30):
         d = len(parabolic_basis(pair))
+        form = graded_skew_form(adapted_pair(walk(pair)))
+        assert d == form.dim == 2 * alpha_eigenvalue(pair) + 1
         assert d == pair.p ** 2 + pair.q ** 2 + pair.p * pair.q - 2
         assert d % 2 == 1
 
 
-def test_basis_layout_names_the_parabolic_basis():
+def basis_ids(pair):
+    """The position ids of the basis of `parabolic_basis`, in its order."""
+    return [position_id(b, pair.n + 1) for b in parabolic_basis(pair)]
+
+
+def test_position_ids_name_the_parabolic_basis():
     for pair in coprime_pairs(20):
-        elements, position, diagonal = verify.basis_layout(pair)
+        p, n = pair.p, pair.n
+        w = n + 1
         basis = parabolic_basis(pair)
         assert basis == dict_parabolic_basis(pair)
         ap = adapted_pair(walk(pair))
         form = graded_skew_form(ap)
-        w = pair.n + 1
-        assert form.position == position and form.stride == len(diagonal) == w
-        assert len(elements) == len(basis) == form.dim
-        for k, b in enumerate(basis):
-            x, y = elements[k]
+        assert len(form.weights) == len(form.rows) == w * w
+        ids = basis_ids(pair)
+        assert len(ids) == len(basis) == form.dim
+        for k, b in zip(ids, basis):
+            x, y = divmod(k, w)
             if x != y:
-                assert b == {(x, y): 1} and position[x * w + y] == k
+                assert b == {(x, y): 1}
                 assert form.weights[k] == h_eigenvalue(ap.h, (x, y))
             else:
-                assert b == {(x, x): 1, (x + 1, x + 1): -1} and diagonal[x] == k
+                assert b == {(x, x): 1, (x + 1, x + 1): -1}
                 assert form.weights[k] == 0
-        # every id sits in exactly one slot; every other slot holds -1
-        assert sorted(k for k in position + diagonal if k >= 0) == list(range(len(basis)))
-        assert diagonal[0] == diagonal[pair.p] == diagonal[pair.n] == -1
+        # the ids are distinct, and they are the slots of the parabolic:
+        # E_xy for x != y and not x <= p < y, and H_x for 0 < x < n, x != p
+        members = [x * w + y for x in range(1, w) for y in range(1, w) if x != y and not x <= p < y]
+        members += [x * w + x for x in range(1, n) if x != p]
+        assert sorted(ids) == sorted(members) and len(set(ids)) == len(ids)
+        # every other slot has an empty row
+        assert all(not form.rows[k] for k in set(range(w * w)) - set(ids))
+        assert {0, p * w + p, n * w + n}.isdisjoint(ids)
 
 
 def dense_complement_oracle(s, basis, root):
@@ -300,14 +316,16 @@ def test_graded_form_against_dense_oracle():
         form = graded_skew_form(ap)
         s, basis = skew_form_matrix(pair, ap)
         d = len(basis)
-        # every non-zero dense entry sits in the block of its row weight
+        # every non-zero dense entry sits in the block of its row weight,
+        # at the position ids of its basis elements
+        ids = basis_ids(pair)
         blocks = form_blocks(form)
         nonzero = 0
         for j, row in enumerate(s):
             for k, v in enumerate(row):
                 if v:
                     nonzero += 1
-                    assert blocks[form.weights[j]][j][k] == v
+                    assert blocks[form.weights[ids[j]]][ids[j]][ids[k]] == v
         assert nonzero == sum(len(r) for rows in blocks.values() for r in rows.values())
         reg = eta_regularity(form)
         assert reg["stabiliser_dim"] == d - verify.certified_rank(s, d - 1) == 1
@@ -349,15 +367,17 @@ class RankSpy:
 
 def dict_oracle_errors(module, pairs):
     """The pairs whose graded form by `module.graded_skew_form` is not the
-    one of `dict_graded_form`, in its weights, its blocks or its ranks.  The
-    oracle builds every row from its own side, per basis element, so this
-    compares each entry written root by root, and its mirror, with the entry
-    derived another way."""
+    one of `dict_graded_form`, in the weights of its basis ids, its blocks or
+    its ranks.  The oracle builds every row from its own side, per basis
+    element, so this compares each entry written root by root, and its
+    mirror, with the entry derived another way."""
     errors = []
     for pair in pairs:
         ap = adapted_pair(walk(pair))
         form = module.graded_skew_form(ap)
-        if (form.weights, form_blocks(form), form.ranks) != dict_graded_form(ap):
+        weights, blocks, ranks = dict_graded_form(ap)
+        basis_weights = {k: form.weights[k] for k in weights}
+        if (basis_weights, form_blocks(form), form.ranks) != (weights, blocks, ranks):
             errors.append(pair)
     return errors
 
@@ -380,7 +400,7 @@ def complement_rows(form, root):
     """The rows that `complement_check` ranks for x_root: the block whose
     columns have the weight of E_ba, plus the functional row of x_root."""
     a, b = root
-    k = form.position[b * form.stride + a]
+    k = b * (form.pair.n + 1) + a
     lam = 1 - form.weights[k]
     return lam, list(form_blocks(form).get(lam, {}).values()) + [{k: 1}]
 
@@ -460,7 +480,7 @@ def test_peel_ranks_against_whole_block_ranks(monkeypatch):
 def test_component_census():
     for pair in coprime_pairs(30):
         form = graded_skew_form(adapted_pair(walk(pair)))
-        census = component_census(form.rows)
+        census = component_census(form.rows, sorted(basis_ids(pair)))
         assert sum(rank for _, _, rank, _ in census) == form.dim - 1  # so every rank is exact
         cyclic = [c for c in census if c[1] >= c[0]]
         acyclic = [c for c in census if c[1] < c[0]]
@@ -515,6 +535,34 @@ def test_peel_mutants_fail_the_whole_block_oracle(monkeypatch, mutation):
     assert any(eta_regularity(form)["stabiliser_dim"] != 1 for form in forms)
 
 
+PEEL_EDITS = {
+    # name: (a source edit of `_peel_ranks`, the test that must fail once it
+    # is made); the test passes before the edit.  A removed line loses a
+    # live degree again each time its partner's neighbour is peeled
+    "decrement_removed_lines": (
+        "if live[i]:",
+        "if True:",
+        test_peel_ranks_against_whole_block_ranks,
+    ),
+    # nothing is peeled, so the cores are the whole blocks: the ranks stay
+    # exact, and the whole-block oracle of PEEL_MUTANTS misses it
+    "no_leaf_queued": (
+        "leaves = [j for j, degree in enumerate(live) if degree == 1]",
+        "leaves = []",
+        test_peel_ranks_against_whole_block_ranks,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(PEEL_EDITS))
+def test_peel_edits_fail_their_tests(monkeypatch, mutation):
+    old, new, test = PEEL_EDITS[mutation]
+    run_test(test, ())
+    mutate(monkeypatch, verify, old, new)
+    with pytest.raises((Exception, pytest.fail.Exception)):
+        run_test(test, ())
+
+
 FORM_MUTANTS = {
     # one sign flipped at each write of `_form_rows`: term 1 and term 2 are
     # the terms eta_fc and -eta_de of trace(eta [E_cd, E_ef]) in its
@@ -535,6 +583,28 @@ def test_form_mutants_fail_the_dict_oracle(monkeypatch, mutation):
     mutant = mutate(monkeypatch, verify, *FORM_MUTANTS[mutation])
     pairs = coprime_pairs(20)
     assert len(dict_oracle_errors(mutant, pairs)) >= len(pairs) - 1
+
+
+def certificate(pair):
+    """The graded ranks of `pair`, its stabiliser dimension and its
+    complement check for x_alpha."""
+    ap = adapted_pair(walk(pair))
+    form = graded_skew_form(ap)
+    return form.ranks, eta_regularity(form)["stabiliser_dim"], complement_check(form, ap.alpha)
+
+
+@pytest.mark.parametrize("mutation", sorted(FORM_MUTANTS))
+def test_form_mutants_leave_the_certificate_unchanged(monkeypatch, mutation):
+    # the certified ranks ignore the signs of the entries (`_block_rank`):
+    # a flipped sign leaves the whole certificate as it was, with no
+    # Bareiss call, and only the dict oracle above sees it
+    spy = RankSpy(monkeypatch)
+    pairs = coprime_pairs(20)
+    assert len(pairs) == 63
+    want = [certificate(pair) for pair in pairs]
+    mutate(monkeypatch, verify, *FORM_MUTANTS[mutation])
+    assert [certificate(pair) for pair in pairs] == want
+    assert spy.calls == 0
 
 
 def mutated_form(monkeypatch, ap, mutate):
@@ -627,7 +697,7 @@ def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
     pair = CoprimePair(3, 4)
     ap = adapted_pair(walk(pair))
     form = graded_skew_form(ap)
-    sizes = Counter(form.weights)
+    sizes = Counter(form.weights[k] for k in basis_ids(pair))
     # a row in a pair of square blocks of full rank: the kernel of S misses it
     j0 = next(
         j
@@ -702,7 +772,8 @@ def test_complement_check_of_a_root_outside_the_dual(monkeypatch):
     bareiss = RankSpy(monkeypatch)
     gf2 = RankSpy(monkeypatch, "rank_mod_2")
     for pair, form in forms:
-        assert form.position[1 * form.stride + pair.p + 1] == -1
+        assert {(1, pair.p + 1): 1} not in parabolic_basis(pair)
+        assert not form.rows[1 * (pair.n + 1) + pair.p + 1]
         assert not complement_check(form, (pair.p + 1, 1))
     assert bareiss.calls == gf2.calls == 0
 
