@@ -11,7 +11,7 @@ from __future__ import annotations
 
 def ascii_diagram(sc):
     td = sc.turning
-    tr = sc.traversal
+    tr = td.traversal
     n = td.pair.n
     changed = set(sc.changed)
     lines = [
@@ -45,7 +45,7 @@ def ascii_diagram(sc):
 
 def svg_diagram(sc):
     td = sc.turning
-    tr = sc.traversal
+    tr = td.traversal
     n = td.pair.n
     changed = set(sc.changed)
     step = 40

@@ -295,7 +295,6 @@ def exceptional_fix(td, ledger):
 @dataclass
 class SliceConstruction:
     pair: object
-    traversal: object
     turning: object
     sig: object
     ledger: ChangeLedger
@@ -322,8 +321,7 @@ def construct(pair):
     or the repair step is a ConstructionFailed too.  Both messages name
     the pair.
     """
-    tr = traversal(pair)
-    td = turning_data(tr)
+    td = turning_data(traversal(pair))
     sig = signature(td)
     prefix = "no certified construction for (%d,%d): " % (pair.p, pair.q)
     try:
@@ -341,7 +339,6 @@ def construct(pair):
         raise ConstructionFailed(prefix + str(checks["witness"]))
     return SliceConstruction(
         pair=pair,
-        traversal=tr,
         turning=td,
         sig=sig,
         ledger=ledger,

@@ -217,7 +217,7 @@ class GradedForm:
     """
 
     pair: object
-    weights: tuple
+    weights: list
     rows: list
     ranks: dict
 
@@ -236,8 +236,8 @@ class GradedForm:
 
 def _block_rank(rows):
     """Exact rank of one block of sparse rows {column: value}: the core that
-    the leaf-peel leaves of a skew-form block (`_peel_ranks`), or a whole
-    block plus one row (`complement_check`).
+    the leaf-peel leaves of a skew-form block (`_peel_ranks`), or the block
+    of one component plus one row (`complement_check`).
 
     Its rank over GF(2) (`linalg.rank_mod_2`) is a lower bound (a minor
     that is odd is non-zero), and its numbers of rows and of distinct
@@ -276,8 +276,11 @@ def _form_rows(support, p, n):
     row, so the form is alternating by construction.  Only basis elements
     are written: E_bx and E_xa are both in the parabolic iff x is in lo..hi,
     with lo = p + 1 when a > p (else 1) and hi = p when b <= p (else n),
-    and x is neither a nor b.  E_ba is in it iff not b <= p < a, and H_x iff
-    0 < x < n and x != p.  No entry is written twice.  A unit pair of
+    and x is neither a nor b.  H_x is in it iff 0 < x < n and x != p.  E_ba
+    always is: `adapted_pair` certifies that the support is the cascade
+    union minus alpha, every Kostant root has a < b and every Levi root lies
+    inside one block, so b <= p < a never holds.  No entry is written
+    twice.  A unit pair of
     root (a, b) is a unit pair of (a', b') only for the same root, since
     (E_bx, E_xa) = (E_x'a', E_b'x') would need x' = b and x' = a.  The four
     H_x of one root are distinct unless it is +- simple, and
@@ -292,20 +295,19 @@ def _form_rows(support, p, n):
                 j, k = b * w + x, x * w + a
                 rows[j][k] = 1
                 rows[k][j] = -1
-        if not b <= p < a:
-            k = b * w + a
-            for x, v in ((a - 1, 1), (a, -1), (b - 1, -1), (b, 1)):
-                if 0 < x < n and x != p:
-                    i = x * w + x
-                    rows[i][k] = v
-                    rows[k][i] = -v
+        k = b * w + a
+        for x, v in ((a - 1, 1), (a, -1), (b - 1, -1), (b, 1)):
+            if 0 < x < n and x != p:
+                i = x * w + x
+                rows[i][k] = v
+                rows[k][i] = -v
     return rows
 
 
-def _peel_ranks(rows, weights, lams):
-    """The exact rank of each block lam in `lams` (all >= 1) of the
-    alternating form with rows {k: S_jk}, by a leaf-peel and then
-    `_block_rank` on the cores.
+def _peel_ranks(rows, weights):
+    """The exact rank of each non-empty block lam >= 1 of the alternating
+    form with rows {k: S_jk}, by a leaf-peel and then `_block_rank` on the
+    cores.
 
     `graded_skew_form` built the form alternating, so row j lists the
     partners of id j both as a row of block weights[j] and as a column of
@@ -315,9 +317,12 @@ def _peel_ranks(rows, weights, lams):
     partner lowers the rank of their block by exactly 1 and changes no other
     entry.  Peeling repeats until no such line is left; the cores, the live
     rows and columns that remain, are ranked by `_block_rank`, one call per
-    block that has a core.  O(nnz) apart from the cores.
+    block that has a core.  Each pivot and each core is recorded under its
+    block as it is met; a non-empty block has one or the other, since a line
+    leaves its block's core only with a pivot of that block.  O(nnz) apart
+    from the cores.
     """
-    ranks = dict.fromkeys(lams, 0)
+    ranks = {}
     live = list(map(len, rows))  # live degree; 0 once removed or isolated
     leaves = [j for j, degree in enumerate(live) if degree == 1]
     for j in leaves:  # grows while it is walked
@@ -327,8 +332,8 @@ def _peel_ranks(rows, weights, lams):
             if live[k]:
                 break
         live[j] = live[k] = 0
-        lam = weights[j]
-        ranks[lam if lam >= 1 else 1 - lam] += 1  # the weights sum to 1
+        lam = max(weights[j], 1 - weights[j])  # the weights of j and k sum to 1
+        ranks[lam] = ranks.get(lam, 0) + 1
         for i in rows[k]:
             if live[i]:
                 live[i] -= 1
@@ -340,7 +345,7 @@ def _peel_ranks(rows, weights, lams):
         if lam >= 1:
             cores.setdefault(lam, []).append({k: v for k, v in rows[j].items() if live[k]})
     for lam, core in cores.items():
-        ranks[lam] += _block_rank(core)
+        ranks[lam] = ranks.get(lam, 0) + _block_rank(core)
     return ranks
 
 
@@ -371,11 +376,10 @@ def graded_skew_form(ap):
     h = (0, *ap.h)  # 1-based
     weights = [hx - hy for hx in h for hy in h]  # of id x * (n + 1) + y; 0 on each H_x
     rows = _form_rows(ap.eta_support, pair.p, pair.n)
-    lams = dict.fromkeys(lam for lam, row in zip(weights, rows) if lam >= 1 and row)
-    ranks = _peel_ranks(rows, weights, lams)
+    ranks = _peel_ranks(rows, weights)
     for lam in list(ranks):
         ranks[1 - lam] = ranks[lam]
-    return GradedForm(pair=pair, weights=tuple(weights), rows=rows, ranks=ranks)
+    return GradedForm(pair=pair, weights=weights, rows=rows, ranks=ranks)
 
 
 def eta_regularity(form):
@@ -400,22 +404,43 @@ def complement_check(form, root):
     `graded_skew_form`, together with the functional of x_r (r = `root`,
     alpha for the certificate) span the dual of the truncated parabolic.
 
-    The functional of x_r = E_ab is trace(E_ab b_k), non-zero only on
-    b_k = E_ba, of weight -h(r), and zero on the whole basis when E_ba is
-    not in it, that is when b <= p < a.  Its row joins the block whose
-    columns have that weight, and only that block is ranked again
-    (`_block_rank`).
+    The functional of x_r = E_ab is trace(E_ab b_k), the unit row e_k of
+    b_k = E_ba, and zero on the whole basis when E_ba is not in it, that is
+    when b <= p < a: then the check is False, and so it is when rank S is
+    not d - 1.  Otherwise only the component C of E_ba in the graph of the
+    form's entries is read, walked breadth first over `form.rows`:
+
+    - S is the direct sum of its components.  Each entry joins two weights
+      that sum to 1, so a component holds at most two: its r lines of one
+      weight are the rows, and its c lines of the other the columns, of its
+      block B_C, and it has rank 2 rank(B_C).  The columns of C are its
+      lines of weight mu = weights[k].
+    - d - rank S is the sum over the components of r + c - 2 rank(B_C),
+      each term at least |r - c| and of its parity.  If rank S = d - 1,
+      exactly one term is 1 and the others 0, so every B_C has rank
+      min(r, c).
+    - e_k is in the row space of S iff it is in that of B_C.  When r <= c,
+      B_C has rank r; when r > c, its rows span every column.  So e_k
+      leaves the row space exactly when [B_C; e_k] has rank r + 1, which
+      `_block_rank` certifies.
+
+    So it answers as adding e_k to the whole block of its columns' weight
+    and comparing that rank with `form.ranks`, on every form whose ranks
+    are those of its alternating rows: rank S is even and d odd, and when
+    rank S is below d - 1 both answers are False.
     """
     a, b = root
-    rank = form.rank
-    if not b <= form.pair.p < a:
-        k = b * (form.pair.n + 1) + a
-        lam = 1 - form.weights[k]
-        rows = [row for row, weight in zip(form.rows, form.weights) if weight == lam and row]
-        rows.append({k: 1})
-        if _block_rank(rows) > form.ranks.get(lam, 0):
-            rank += 1
-    return rank == form.dim
+    if b <= form.pair.p < a or form.rank != form.dim - 1:
+        return False
+    k = b * (form.pair.n + 1) + a
+    mu = form.weights[k]
+    component, seen = [k], {k}
+    for j in component:  # breadth first: grows while it is walked
+        unseen = form.rows[j].keys() - seen
+        seen |= unseen
+        component += unseen
+    rows = [form.rows[j] for j in component if form.weights[j] != mu]
+    return _block_rank(rows + [{k: 1}]) == len(rows) + 1
 
 
 def completed_element(sc):

@@ -21,7 +21,7 @@ from itertools import accumulate, product
 
 import pytest
 
-from meanderslice import linalg, rootlab
+from meanderslice import linalg, rootlab, verify
 from meanderslice.meander import sigma, tau, traversal, turning_data
 from meanderslice.slicebuild import (
     ChangeEntry,
@@ -270,13 +270,27 @@ def dense_block_rank(rows):
     return linalg.rank_int([[row.get(k, 0) for k in cols] for row in rows])
 
 
+def component(rows, root):
+    """The ids of the connected component of `root` in the graph of the
+    alternating form with rows {k: S_jk}, one edge per stored pair {j, k},
+    in breadth-first order from `root`."""
+    members, seen = [root], {root}
+    for j in members:  # grows while it is walked
+        for k in rows[j]:
+            if k not in seen:
+                seen.add(k)
+                members.append(k)
+    return members
+
+
 def component_census(rows, ids):
-    """One (size, edges, rank, core) tuple per connected component of the
-    alternating form with rows {k: S_jk}, in order of least id.  Its graph
-    has one vertex per id in `ids`, the basis ids in increasing order, and
-    one edge per stored pair {j, k}, so a basis id with an empty row is a
-    component of its own, and a component is acyclic exactly when
-    edges == size - 1.  Rows off `ids` must be empty.
+    """One (size, edges, rank, core, members) tuple per connected component
+    of the alternating form with rows {k: S_jk}, in order of least id.  Its
+    graph has one vertex per id in `ids`, the basis ids in increasing order,
+    and one edge per stored pair {j, k}, so a basis id with an empty row is
+    a component of its own, and a component is acyclic exactly when
+    edges == size - 1.  Rows off `ids` must be empty.  members lists the
+    component's ids (`component`).
 
     rank is the rank of the component's rows modulo PRIME.  It is a lower
     bound on the rational rank, and the form alternates, so its rank is
@@ -297,23 +311,36 @@ def component_census(rows, ids):
                     live[i] -= 1
                     if live[i] == 1:
                         leaves.append(i)
-    seen = [False] * len(rows)
+    seen = set()
     census = []
     for root in ids:
-        if seen[root]:
+        if root in seen:
             continue
-        seen[root] = True
-        members = [root]
-        for j in members:  # breadth first: grows while it is walked
-            for k in rows[j]:
-                if not seen[k]:
-                    seen[k] = True
-                    members.append(k)
-        component = [rows[j] for j in members]
-        edges = sum(map(len, component)) // 2
-        rank = linalg.rank_mod_prime(component, PRIME)
-        census.append((len(members), edges, rank, sum(1 for j in members if live[j])))
+        members = component(rows, root)
+        seen.update(members)
+        lines = [rows[j] for j in members]
+        edges = sum(map(len, lines)) // 2
+        rank = linalg.rank_mod_prime(lines, PRIME)
+        census.append((len(members), edges, rank, sum(1 for j in members if live[j]), members))
     return census
+
+
+def block_complement_check(form, root):
+    """`verify.complement_check` by the whole-block rule: the functional row
+    of x_root = E_ab, the unit row of E_ba, joins every row of the block
+    whose columns have the weight of E_ba, and the check holds when that
+    block's rank (`verify._block_rank`) then exceeds its rank in
+    `form.ranks` and so brings rank S to d.  The functional is zero when
+    E_ba is not in the basis, b <= p < a."""
+    a, b = root
+    rank = form.rank
+    if not b <= form.pair.p < a:
+        k = b * (form.pair.n + 1) + a
+        lam = 1 - form.weights[k]
+        rows = list(form_blocks(form).get(lam, {}).values())
+        if verify._block_rank(rows + [{k: 1}]) > form.ranks.get(lam, 0):
+            rank += 1
+    return rank == form.dim
 
 
 def dict_form_rows(ap):

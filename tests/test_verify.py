@@ -31,6 +31,8 @@ from meanderslice.verify import (
 )
 from oracles import (
     PRIME,
+    block_complement_check,
+    component,
     component_census,
     dense,
     dense_block_rank,
@@ -397,12 +399,13 @@ def test_form_entries_are_units_across_weights_summing_to_1():
 
 
 def complement_rows(form, root):
-    """The rows that `complement_check` ranks for x_root: the block whose
-    columns have the weight of E_ba, plus the functional row of x_root."""
+    """The rows that `complement_check` ranks for x_root = E_ab: the block
+    {j: row} of the lines of E_ba's component, by the walk of `component`,
+    whose weight is not that of E_ba, and the functional row of x_root."""
     a, b = root
     k = b * (form.pair.n + 1) + a
-    lam = 1 - form.weights[k]
-    return lam, list(form_blocks(form).get(lam, {}).values()) + [{k: 1}]
+    block = {j: form.rows[j] for j in component(form.rows, k) if form.weights[j] != form.weights[k]}
+    return block, {k: 1}
 
 
 def dimension_bound(rows):
@@ -417,12 +420,13 @@ def test_block_ranks_against_bareiss(monkeypatch):
         form = graded_skew_form(ap)
         forms.append(form)
         assert complement_check(form, ap.alpha)
-        # each ranked block, and the block x_alpha joins, meets its bound
+        # each ranked block, and the component block x_alpha joins, meets
+        # its bound
         for lam, rows in form_blocks(form).items():
             if lam >= 1:
                 assert form.ranks[lam] == dimension_bound(rows.values())
-        lam, rows = complement_rows(form, ap.alpha)
-        assert form.ranks.get(lam, 0) + 1 == dimension_bound(rows)
+        block, functional = complement_rows(form, ap.alpha)
+        assert len(block) + 1 == dimension_bound([*block.values(), functional])
     # the certificate needed no Bareiss rank
     assert spy.calls == 0
     for form in forms:
@@ -479,9 +483,10 @@ def test_peel_ranks_against_whole_block_ranks(monkeypatch):
 
 def test_component_census():
     for pair in coprime_pairs(30):
-        form = graded_skew_form(adapted_pair(walk(pair)))
+        ap = adapted_pair(walk(pair))
+        form = graded_skew_form(ap)
         census = component_census(form.rows, sorted(basis_ids(pair)))
-        assert sum(rank for _, _, rank, _ in census) == form.dim - 1  # so every rank is exact
+        assert sum(rank for _, _, rank, _, _ in census) == form.dim - 1  # so every rank is exact
         cyclic = [c for c in census if c[1] >= c[0]]
         acyclic = [c for c in census if c[1] < c[0]]
         # one component has a cycle, except at (1,2) and (1,3), and it is
@@ -489,15 +494,24 @@ def test_component_census():
         if (pair.p, pair.q) in ((1, 2), (1, 3)):
             assert cyclic == []
         else:
-            ((size, _, rank, core),) = cyclic
+            ((size, _, rank, core, _),) = cyclic
             assert rank == size
             assert core == sum(c[3] for c in census) == (2 * (pair.n - 2) if pair.p >= 2 else 0)
         # one component is singular, with kernel dimension 1, and it is
         # acyclic: a tree, or a single isolated basis element
-        ((size, edges, rank, _),) = [c for c in census if c[2] < c[0]]
+        ((size, edges, rank, _, members),) = [c for c in census if c[2] < c[0]]
         assert size - rank == 1 and edges == size - 1
+        # it holds E_ba, the one basis element that the functional of
+        # x_alpha = E_ab reads, and has one more line of E_ba's weight (the
+        # columns of its block) than of the other; it is E_ba alone when p = 1
+        a, b = ap.alpha
+        k = b * (pair.n + 1) + a
+        columns = sum(form.weights[j] == form.weights[k] for j in members)
+        assert k in members and columns == size - columns + 1
+        if pair.p == 1:
+            assert members == [k]
         # the leaf-peel removes every acyclic component completely
-        assert all(core == 0 for _, _, _, core in acyclic)
+        assert all(core == 0 for _, _, _, core, _ in acyclic)
 
 
 def test_gf2_ranks_need_no_bareiss(monkeypatch):
@@ -515,8 +529,8 @@ def test_gf2_ranks_need_no_bareiss(monkeypatch):
 PEEL_MUTANTS = {
     # a column-side leaf is removed with its partner but not counted
     "drop_column_leaf": (
-        "+= 1  # the weights sum to 1",
-        "+= weights[j] >= 1",
+        "ranks[lam] = ranks.get(lam, 0) + 1",
+        "ranks[lam] = ranks.get(lam, 0) + (weights[j] >= 1)",
     ),
     # a leaf queued again after its removal is counted again
     "count_leaf_twice": (
@@ -619,13 +633,16 @@ def mutated_form(monkeypatch, ap, mutate):
         return rows
 
     monkeypatch.setattr(verify, "_form_rows", form_rows)
-    return graded_skew_form(ap)
+    form = graded_skew_form(ap)
+    monkeypatch.setattr(verify, "_form_rows", build)
+    return form
 
 
 def scaled_entry(j0, k0):
     """A `mutated_form` mutation: S_j0k0 and S_k0j0 times 2.  On an entry
-    alone in its row and in its column, this scales a row, so the rank
-    over Q is unchanged, while the rank over GF(2) drops by 1."""
+    alone in its row, or in its column, of a block, this scales that line
+    of the block, so its rank over Q is unchanged, while its rank over
+    GF(2) can drop by 1."""
 
     def scale_entry(j, row):
         for a, b in ((j0, k0), (k0, j0)):
@@ -693,12 +710,14 @@ def test_scaled_leaf_needs_no_arithmetic(monkeypatch):
     assert eta_regularity(mutated)["stabiliser_dim"] == 1
 
 
-def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
+def zeroed_row_form(monkeypatch):
+    """The adapted pair of (3,4) and its form with the row and the column of
+    one id j0 cleared, j0 a row in a pair of square blocks of full rank:
+    the kernel of S misses it."""
     pair = CoprimePair(3, 4)
     ap = adapted_pair(walk(pair))
     form = graded_skew_form(ap)
     sizes = Counter(form.weights[k] for k in basis_ids(pair))
-    # a row in a pair of square blocks of full rank: the kernel of S misses it
     j0 = next(
         j
         for lam, rows in sorted(form_blocks(form).items())
@@ -711,8 +730,12 @@ def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
             row.clear()
         row.pop(j0, None)
 
+    return ap, mutated_form(monkeypatch, ap, zero_row_and_column)
+
+
+def test_zeroed_row_drops_the_rank_within_the_bound(monkeypatch):
     spy = RankSpy(monkeypatch)
-    mutated = mutated_form(monkeypatch, ap, zero_row_and_column)
+    _, mutated = zeroed_row_form(monkeypatch)
     # the lost row or column lowers the bound with the rank: no Bareiss
     assert spy.calls == 0
     assert eta_regularity(mutated)["stabiliser_dim"] == 3
@@ -745,24 +768,79 @@ def test_complement_check(monkeypatch):
         assert spy.calls == before
 
 
-def test_scaled_entry_reaches_the_complement_fallback(monkeypatch):
-    pair = CoprimePair(3, 7)
-    ap = adapted_pair(walk(pair))
-    form = graded_skew_form(ap)
-    lam, rows = complement_rows(form, ap.alpha)
-    column_counts = Counter(c for row in rows for c in row)
-    # an entry alone in its row and in its column of the block x_alpha joins
-    (j0, k0) = next(
-        (j, c)
-        for j, row in form_blocks(form)[lam].items()
-        for c in row
-        if len(row) == 1 and column_counts[c] == 1
-    )
+def scaled_complement_form(monkeypatch):
+    """The adapted pair of (3,7) and its form with one entry scaled by 2:
+    in the block that `complement_check` ranks for x_alpha, the entry alone
+    in its column, other than E_ba's.  No entry of E_ba's component is
+    alone in both its row and its column: the component is connected, so
+    that entry would be a component of its own."""
+    ap = adapted_pair(walk(CoprimePair(3, 7)))
+    block, functional = complement_rows(graded_skew_form(ap), ap.alpha)
+    column_counts = Counter(c for row in [*block.values(), functional] for c in row)
+    (j0, k0) = next((j, c) for j, row in block.items() for c in row if column_counts[c] == 1)
+    return ap, mutated_form(monkeypatch, ap, scaled_entry(j0, k0))
 
-    mutated = mutated_form(monkeypatch, ap, scaled_entry(j0, k0))
+
+def test_scaled_entry_reaches_the_complement_fallback(monkeypatch):
+    ap, mutated = scaled_complement_form(monkeypatch)
     spy = RankSpy(monkeypatch)
+    # the scaled column vanishes over GF(2), so only Bareiss reaches the
+    # rank that the functional row adds
     assert complement_check(mutated, ap.alpha)
     assert spy.calls == 1
+
+
+def test_complement_check_against_the_whole_block_rule(monkeypatch):
+    # the forged forms first: on them the rank of S, or the GF(2) rank of
+    # the block x_alpha joins, falls short
+    forged = [zeroed_row_form(monkeypatch), scaled_complement_form(monkeypatch)]
+    forged += [(ap, graded_skew_form(ap)) for ap in map(adapted_pair, map(walk, coprime_pairs(40)))]
+    for ap, form in forged:
+        roots = (ap.alpha, *ap.eta_support) if ap.pair.n <= 12 else (ap.alpha,)
+        for root in roots:
+            assert complement_check(form, root) == block_complement_check(form, root)
+
+
+class UnreadRow:
+    """A row that fails the test that reads it."""
+
+    def read(self, *args):
+        raise AssertionError("a row outside the component of E_ba was read")
+
+    __iter__ = __len__ = __bool__ = __contains__ = __getitem__ = read
+
+    def __getattr__(self, name):
+        self.read()
+
+
+def test_complement_check_reads_only_its_component():
+    for pair in coprime_pairs(20):
+        ap = adapted_pair(walk(pair))
+        form = graded_skew_form(ap)
+        for a, b in (ap.alpha, *ap.eta_support):
+            members = set(component(form.rows, b * (pair.n + 1) + a))
+            rows = [row if j in members else UnreadRow() for j, row in enumerate(form.rows)]
+            guarded = replace(form, rows=rows)
+            assert complement_check(guarded, (a, b)) == complement_check(form, (a, b))
+
+
+COMPLEMENT_EDITS = {
+    # name: a source edit of `complement_check`, which
+    # test_complement_check_against_the_whole_block_rule must catch.  A
+    # component block of full rank reads as raised by the functional row
+    "rank_not_raised": ("== len(rows) + 1", ">= len(rows)"),
+    # a form of rank below d - 1 is read as if E_ba's component decided it
+    "no_rank_test": (" or form.rank != form.dim - 1", ""),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(COMPLEMENT_EDITS))
+def test_complement_edits_fail_the_whole_block_rule(monkeypatch, mutation):
+    test = test_complement_check_against_the_whole_block_rule
+    run_test(test, ())
+    mutate(monkeypatch, verify, *COMPLEMENT_EDITS[mutation])
+    with pytest.raises(AssertionError):
+        run_test(test, ())
 
 
 def test_complement_check_of_a_root_outside_the_dual(monkeypatch):
