@@ -160,21 +160,19 @@ def _construct_payload(pair):
         "ledger": {
             "entries": [
                 {
-                    "index": e.index,
+                    "index": i,
                     "span": list(e.span),
                     "case": e.case,
                     "added": dense(e.added, n),
                 }
-                for _, e in sorted(ledger.entries.items())
+                for i, e in sorted(ledger.entries.items())
             ],
             "chi": {str(k): v for k, v in sorted(ledger.chi.items())},
             "undecided": {
                 "position": ledger.undecided[0],
                 "disposition": ledger.undecided[1],
             },
-            "fix": [
-                {"index": i, "value": dense(v, n)} for i, v in sorted(ledger.fix_entries.items())
-            ],
+            "fix": [{"index": i, "value": dense(v, n)} for i, v in sorted(sc.fixes.items())],
         },
     }
 

@@ -7,16 +7,16 @@ changed value contributing the p-th simple root with coefficient -1.
 A deterministic rule engine performs the changes from the signature in
 one pass over the A turning points: the sign of a point picks the side it
 changes, and the first sign of the signature picks which point of a
-+ -> - change reaches across the neighbouring run.  A checker certifies
-the result.  When the exceptional value is left unchanged
-a local repair step replaces it by the negative of an interval value.  A
++ -> - change reaches across the neighbouring run.  When the exceptional
+value is left unchanged a local repair step replaces it by the negative
+of an interval value.  One checker pass certifies the final values; a
 result the checker rejects raises ConstructionFailed.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rootlab
 from .meander import signature, traversal, turning_data
@@ -40,20 +40,17 @@ def interval_value(td, s, t):
 
 @dataclass(frozen=True)
 class ChangeEntry:
-    index: int  # the changed value beta_index
     span: tuple  # (s, t) turning positions of the added interval value
     case: str  # adjacent | compound | compound-short | isolated-swap
     added: tuple  # the added root
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChangeLedger:
     entries: dict  # index -> ChangeEntry
     chi: dict  # internal A turning position -> matched turning position
     undecided: tuple  # (position d, disposition tag)
     beta_prime: tuple  # values after the rule changes
-    fix_entries: dict = field(default_factory=dict)  # index -> new value
-    beta_final: tuple = None  # values after the repair step (or beta_prime)
 
 
 def build_pi_star(td, sig):
@@ -187,7 +184,7 @@ def build_pi_star(td, sig):
         if newv is None:
             raise ConstructionRuleError("changed beta_%d is not elementary" % idx)
         beta_prime[idx - 1] = newv
-        entries[idx] = ChangeEntry(index=idx, span=span, case=case, added=iv)
+        entries[idx] = ChangeEntry(span=span, case=case, added=iv)
 
     return ChangeLedger(
         entries=entries,
@@ -292,7 +289,7 @@ def exceptional_fix(td, ledger):
     return fixes, tuple(beta_final)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceConstruction:
     pair: object
     turning: object
@@ -301,7 +298,7 @@ class SliceConstruction:
     pi_star: tuple  # the signed values after the rules, before any repair
     pi_final: tuple  # after the repair step (equal to pi_star without one)
     order: tuple  # path order of pi_final
-    used_exceptional_fix: bool
+    fixes: dict  # index -> value the repair step put there; {} without one
     checks: dict
 
     # the only construction path; kept for the v1 report field
@@ -311,10 +308,15 @@ class SliceConstruction:
     def changed(self):
         return self.checks["changed"]
 
+    @property
+    def used_exceptional_fix(self):
+        # a repair always replaces the exceptional value, so it is never empty
+        return bool(self.fixes)
+
 
 def construct(pair):
-    """Full pipeline for one coprime pair: the rule engine, the checker,
-    and the repair step when only condition (c) fails.
+    """Full pipeline for one coprime pair: the rule engine, the repair
+    step when (c) fails, and one checker pass over the final values.
 
     Raises ConstructionFailed, carrying the checker's witness, when the
     result is not certified; a ConstructionRuleError from the rule engine
@@ -326,15 +328,12 @@ def construct(pair):
     prefix = "no certified construction for (%d,%d): " % (pair.p, pair.q)
     try:
         ledger = build_pi_star(td, sig)
-        ledger.beta_final = ledger.beta_prime
-        checks = check_conditions(td, ledger.beta_prime)
-        pi_star = checks["signed"]
-        used_fix = checks["a"] and checks["b"] and checks["d"] and not checks["c"]
-        if used_fix:
-            ledger.fix_entries, ledger.beta_final = exceptional_fix(td, ledger)
-            checks = check_conditions(td, ledger.beta_final)
+        fixes, beta_final = {}, ledger.beta_prime
+        if ledger.beta_prime[td.e - 1] == td.betas[td.e - 1]:
+            fixes, beta_final = exceptional_fix(td, ledger)
     except ConstructionRuleError as ex:
         raise ConstructionRuleError(prefix + str(ex)) from ex
+    checks = check_conditions(td, beta_final)
     if not checks["ok"]:
         raise ConstructionFailed(prefix + str(checks["witness"]))
     return SliceConstruction(
@@ -342,10 +341,10 @@ def construct(pair):
         turning=td,
         sig=sig,
         ledger=ledger,
-        pi_star=pi_star,
+        pi_star=tuple(map(rootlab.scale, td.eps, ledger.beta_prime)),
         pi_final=checks["signed"],
         order=checks["order"],
-        used_exceptional_fix=used_fix,
+        fixes=fixes,
         checks=checks,
     )
 
@@ -383,7 +382,7 @@ def triangularity_order(sc):
         compound = entry.case in ("compound", "compound-short")
         levels[idx] = 3 if compound or td.label_of[t] - td.label_of[s] > 1 else 2
     deps = {i: {j for j in spans if j != i and lo <= j < hi} for i, (lo, hi) in spans.items()}
-    heap = [(levels.get(i, 0), i) for i, js in deps.items() if not js]
+    heap = [(levels[i], i) for i, js in deps.items() if not js]
     heapq.heapify(heap)
     while heap:
         _, i = heapq.heappop(heap)
@@ -392,7 +391,7 @@ def triangularity_order(sc):
             if i in js:
                 js.remove(i)
                 if not js:
-                    heapq.heappush(heap, (levels.get(u, 0), u))
+                    heapq.heappush(heap, (levels[u], u))
     if len(order) != td.pair.n - 1:
         raise ConstructionRuleError("cycle detected among the changed values")
     return tuple(order)

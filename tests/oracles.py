@@ -17,6 +17,7 @@ compare the two.
 """
 
 import inspect
+from dataclasses import dataclass
 from itertools import accumulate, product
 
 import pytest
@@ -78,7 +79,7 @@ def exhaustive_candidates(td):
         for idx, span in combo:
             iv = interval_value(td, *span)
             beta_prime[idx - 1] = rootlab.add(betas[idx - 1], iv)
-            entries[idx] = ChangeEntry(index=idx, span=span, case="search", added=iv)
+            entries[idx] = ChangeEntry(span=span, case="search", added=iv)
         yield ChangeLedger(
             entries=entries,
             chi={},
@@ -87,11 +88,23 @@ def exhaustive_candidates(td):
         )
 
 
+@dataclass(frozen=True)
+class Solution:
+    """One certified assignment of `exhaustive_solutions`."""
+
+    ledger: ChangeLedger  # the candidate's changes
+    fixes: dict  # index -> value the repair step put there; {} without one
+    beta_final: tuple  # the certified values
+
+
 def exhaustive_solutions(td):
     """Every certified assignment of one admissible change per internal
     turning point, with the repair step applied when only condition (c)
-    fails.  Returns a list of ChangeLedger objects, each with
-    `beta_final` set, in deterministic order."""
+    fails.  Returns a list of Solution records, in deterministic order.
+
+    The gate is the two-pass one: the candidate is checked first, and
+    repaired only when (a), (b) and (d) hold and (c) fails, so it stays
+    independent of `construct`, which repairs whenever (c) fails."""
     out = []
     for ledger in exhaustive_candidates(td):
         res = check_conditions(td, ledger.beta_prime)
@@ -100,15 +113,16 @@ def exhaustive_solutions(td):
                 fixes, beta_final = exceptional_fix(td, ledger)
             except ConstructionRuleError:
                 continue
-            res2 = check_conditions(td, beta_final)
-            if res2["ok"]:
-                ledger.fix_entries = fixes
-                ledger.beta_final = beta_final
-                out.append(ledger)
+            if check_conditions(td, beta_final)["ok"]:
+                out.append(Solution(ledger, fixes, beta_final))
         elif res["ok"]:
-            ledger.beta_final = ledger.beta_prime
-            out.append(ledger)
+            out.append(Solution(ledger, {}, ledger.beta_prime))
     return out
+
+
+def unsigned_final(sc):
+    """The final values of the construction `sc`, before their signs eps_i."""
+    return tuple(map(rootlab.scale, sc.turning.eps, sc.pi_final))
 
 
 def turning_set_sign_flip(pair):

@@ -31,6 +31,7 @@ from oracles import (
     mutate,
     run_test,
     to_simple_coords,
+    unsigned_final,
 )
 
 SWEEP = [construct(pair) for pair in coprime_pairs(20)]
@@ -113,7 +114,22 @@ def test_construct_1_2():
     assert sc.pi_final == (rootlab.eps_diff(1, 3, 3), rootlab.eps_diff(2, 1, 3))
     assert sc.order == (2, 1, 3)
     # the fix replaced the exceptional value by minus an interval value
-    assert sc.ledger.fix_entries == {2: rootlab.eps_diff(2, 1, 3)}
+    assert sc.fixes == {2: rootlab.eps_diff(2, 1, 3)}
+
+
+def test_construct_calls_the_checker_once(monkeypatch):
+    calls = []
+
+    def counted(td, beta_now):
+        calls.append(td.pair)
+        return check_conditions(td, beta_now)
+
+    monkeypatch.setattr(slicebuild, "check_conditions", counted)
+    pairs = coprime_pairs(30)
+    repaired = 0
+    for pair in pairs:
+        repaired += construct(pair).used_exceptional_fix
+    assert calls == pairs and repaired > 0
 
 
 def test_p_equals_one_always_fixes():
@@ -265,8 +281,8 @@ def test_condition_d_on_changed_values_matches_the_full_check():
 def test_fix_changes_at_most_three_entries():
     for sc in SWEEP:
         if sc.used_exceptional_fix:
-            assert 1 <= len(sc.ledger.fix_entries) <= 3
-            assert sc.turning.e in sc.ledger.fix_entries
+            assert 1 <= len(sc.fixes) <= 3
+            assert sc.turning.e in sc.fixes
 
 
 def test_rule_engine_rejects_a_sum_that_is_not_a_root(monkeypatch):
@@ -412,14 +428,15 @@ def test_ledger_bytes_pinned_to_n_140():
     digest = hashlib.md5()
     pairs = coprime_pairs(140)
     for pair in pairs:
-        ledger = construct(pair).ledger
+        sc = construct(pair)
+        ledger = sc.ledger
         row = (
             (pair.p, pair.q),
             [(i, e.span, e.case, e.added) for i, e in ledger.entries.items()],
             list(ledger.chi.items()),
             ledger.undecided,
-            list(ledger.fix_entries.items()),
-            ledger.beta_final,
+            list(sc.fixes.items()),
+            unsigned_final(sc),
         )
         digest.update(repr(row).encode() + b"\n")
     assert len(pairs) == 2999
@@ -469,15 +486,42 @@ def test_triangularity_everywhere():
                 assert not (m[i][j] and pos[j + 1] > pos[i + 1])
 
 
+def change_levels(sc):
+    """The level of each ledger entry: 3 for a compound change or one
+    whose interval spans more than one simple interval, 2 otherwise."""
+    td = sc.turning
+    levels = {}
+    for i, e in sc.ledger.entries.items():
+        s, t = e.span
+        compound = e.case in ("compound", "compound-short")
+        levels[i] = 3 if compound or td.label_of[t] - td.label_of[s] > 1 else 2
+    return levels
+
+
 def test_triangularity_bytes_pinned():
-    # one line repr((p, q, triangularity_order)) per pair with n <= 140
+    # one line repr((p, q, triangularity_order)) per pair with n <= 140;
+    # the values of length 1 come first, then the ledger entries, whose
+    # levels never decrease along the order
     digest = hashlib.md5()
     pairs = coprime_pairs(140)
     assert len(pairs) == 2999
     for pair in pairs:
-        line = repr((pair.p, pair.q, triangularity_order(construct(pair)))) + "\n"
-        digest.update(line.encode())
+        sc = construct(pair)
+        order = triangularity_order(sc)
+        levels = change_levels(sc)
+        tail = order[len(order) - len(levels) :]
+        assert set(tail) == set(levels)
+        tail_levels = [levels[i] for i in tail]
+        assert tail_levels == sorted(tail_levels)
+        digest.update((repr((pair.p, pair.q, order)) + "\n").encode())
     assert digest.hexdigest() == "b43aa53b74ce001851d247fcd404007f"
+
+
+def test_triangularity_waits_within_a_level():
+    # the smallest ready index goes first, so 14 goes before the 12 that waits for it
+    sc = sc_for(8, 11)
+    levels = change_levels(sc)
+    assert [i for i in triangularity_order(sc) if levels.get(i) == 2] == [2, 8, 10, 14, 12]
 
 
 def test_triangularity_rejects_non_unit_diagonal():
@@ -515,8 +559,9 @@ def test_construct_fails_with_the_checker_witness(monkeypatch):
 
     def reversed_first_value(td, sig):
         ledger = build(td, sig)
-        ledger.beta_prime = (rootlab.neg(ledger.beta_prime[0]),) + ledger.beta_prime[1:]
-        return ledger
+        return replace(
+            ledger, beta_prime=(rootlab.neg(ledger.beta_prime[0]),) + ledger.beta_prime[1:]
+        )
 
     monkeypatch.setattr(slicebuild, "build_pi_star", reversed_first_value)
     with pytest.raises(ConstructionFailed, match=r"for \(2,3\): path: .*\(branching\)"):
@@ -551,7 +596,7 @@ def test_exhaustive_matches_rule_based_small():
         sc = construct(pair)
         sols = exhaustive_solutions(sc.turning)
         finals = [s.beta_final for s in sols]
-        assert sc.ledger.beta_final in finals
+        assert unsigned_final(sc) in finals
         for s in finals:
             assert check_conditions(sc.turning, s)["ok"]
 
@@ -639,6 +684,11 @@ SLICEBUILD_MUTANTS = {
     "checker": (
         *if_false('if not checks["ok"]:'),
         test_construct_fails_with_the_checker_witness,
+        (),
+    ),
+    "repair_gate": (
+        *if_false("if ledger.beta_prime[td.e - 1] == td.betas[td.e - 1]:"),
+        test_construct_1_2,
         (),
     ),
     "unit_diagonal": (
